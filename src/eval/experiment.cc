@@ -36,10 +36,9 @@ runPrepared(const std::string &name, const PreparedWorkload &prepared,
     run.msspCycles = mssp.cycles;
     run.stopReason = mssp.stopReason;
     run.counters = machine.counters();
-    run.masterInsts = machine.counters().masterInsts;
     run.meanTaskSize = machine.meanTaskSize();
     run.distillRatio =
-        run.seqInsts ? static_cast<double>(run.masterInsts) /
+        run.seqInsts ? static_cast<double>(run.counters.masterInsts) /
                            static_cast<double>(run.seqInsts)
                      : 0.0;
     run.speedup =

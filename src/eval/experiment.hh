@@ -32,7 +32,6 @@ struct WorkloadRun
     uint64_t msspCycles = 0;
     double speedup = 0.0;       ///< baselineCycles / msspCycles
 
-    uint64_t masterInsts = 0;
     /** Master dynamic path / original dynamic path (E1; lower is a
      *  stronger distillation). */
     double distillRatio = 0.0;

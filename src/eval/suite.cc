@@ -105,7 +105,7 @@ SuiteReport::toJson() const
             static_cast<unsigned long long>(w.run.baselineCycles),
             static_cast<unsigned long long>(w.run.msspCycles),
             fmtG(w.run.speedup).c_str(),
-            static_cast<unsigned long long>(w.run.masterInsts),
+            static_cast<unsigned long long>(w.run.counters.masterInsts),
             fmtG(w.run.distillRatio).c_str(),
             fmtG(w.run.meanTaskSize).c_str(),
             w.specBaked, w.specBakedProven, w.specAdaptIterations,
@@ -115,7 +115,7 @@ SuiteReport::toJson() const
             w.specRun.ok ? "true" : "false",
             static_cast<unsigned long long>(w.specRun.msspCycles),
             fmtG(w.specRun.speedup).c_str(),
-            static_cast<unsigned long long>(w.specRun.masterInsts),
+            static_cast<unsigned long long>(w.specRun.counters.masterInsts),
             static_cast<unsigned long long>(w.divergenceSquashes),
             w.consistent ? "true" : "false",
             w.ok() ? "true" : "false",

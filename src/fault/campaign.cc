@@ -140,7 +140,8 @@ runCampaignCell(const std::string &name, const SeqOracle &oracle,
     run.cycles = res.cycles;
     run.stopReason = res.stopReason;
     run.injections = injector.counters().count(type);
-    run.recovery = machine.recoveryReport();
+    run.recovery = machine.counters();
+    run.seqBackoff = machine.currentSeqBackoff();
 
     run.forwardProgress = res.halted;
     run.outputOk = res.halted && res.outputs == oracle.outputs;
@@ -219,7 +220,7 @@ CampaignReport::toJson() const
     out += "],\n \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
         const CampaignRun &r = runs[i];
-        const RecoveryReport &rec = r.recovery;
+        const MsspCounters &rec = r.recovery;
         out += strfmt(
             "  {\"workload\": \"%s\", \"type\": \"%s\", "
             "\"rate\": %s, \"seed\": %llu, "
@@ -252,10 +253,10 @@ CampaignReport::toJson() const
             static_cast<unsigned long long>(rec.watchdogEscalations),
             static_cast<unsigned long long>(rec.masterRunawayKills),
             static_cast<unsigned long long>(rec.masterDeadRestarts),
-            static_cast<unsigned long long>(rec.spuriousSquashes),
+            static_cast<unsigned long long>(rec.tasksSquashedSpurious),
             static_cast<unsigned long long>(rec.seqBackoffEvents),
             static_cast<unsigned long long>(rec.seqBackoffDecays),
-            static_cast<unsigned long long>(rec.currentSeqBackoff),
+            static_cast<unsigned long long>(r.seqBackoff),
             static_cast<unsigned long long>(rec.seqModeInsts),
             i + 1 < runs.size() ? "," : "");
     }

@@ -105,7 +105,12 @@ struct CampaignRun
     bool archClean = false;        ///< invariant (c): final registers
     bool commitInvariantOk = true; ///< invariant (c): per-commit check
 
-    RecoveryReport recovery;
+    /** The machine's counters at the end of the run; the JSON
+     *  "recovery" block reports the squash/watchdog/backoff subset. */
+    MsspCounters recovery;
+    /** Sequential-backoff length when the run ended (0 = fully
+     *  recovered). */
+    uint64_t seqBackoff = 0;
 
     bool
     ok() const

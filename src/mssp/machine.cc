@@ -713,20 +713,8 @@ MsspMachine::run(uint64_t max_cycles)
         ++now_;
     }
 
-    for (const auto &slave : slaves_) {
-        if (const Cache *l1 = slave.l1()) {
-            ctrs_.l1Hits += l1->hits();
-            ctrs_.l1Misses += l1->misses();
-        }
-        ctrs_.slaveArchStallCycles += slave.archStallCycles();
-        ctrs_.slavePauseCycles += slave.pauseCycles();
-        ctrs_.slaveIdleCycles += slave.idleCycles();
-    }
-
     MsspResult result;
     result.halted = halted_;
-    result.faulted = faulted_;
-    result.timedOut = !halted_ && !faulted_;
     if (halted_) {
         result.stopReason = StopReason::Halted;
     } else if (faulted_) {
@@ -751,105 +739,33 @@ MsspMachine::meanTaskSize() const
     return task_size_dist_.mean();
 }
 
+MsspCounters
+MsspMachine::counters() const
+{
+    MsspCounters c = ctrs_;
+    for (const auto &slave : slaves_) {
+        if (const Cache *l1 = slave.l1()) {
+            c.l1Hits += l1->hits();
+            c.l1Misses += l1->misses();
+        }
+        c.slaveArchStallCycles += slave.archStallCycles();
+        c.slavePauseCycles += slave.pauseCycles();
+        c.slaveIdleCycles += slave.idleCycles();
+    }
+    return c;
+}
+
 void
 MsspMachine::dumpStats(std::ostream &os) const
 {
-    const MsspCounters &c = ctrs_;
-    auto row = [&](const char *name, uint64_t v, const char *desc) {
+    forEachCounter(counters(), [&os](const char *name, uint64_t v,
+                                     const char *desc) {
         os << strfmt("mssp.%-28s %12llu  # %s\n", name,
                      static_cast<unsigned long long>(v), desc);
-    };
-    row("tasksForked", c.tasksForked, "tasks spawned by the master");
-    row("tasksCommitted", c.tasksCommitted, "tasks committed");
-    row("tasksSquashedLiveIn", c.tasksSquashedLiveIn,
-        "head squashes: live-in mismatch");
-    row("tasksSquashedWrongPc", c.tasksSquashedWrongPc,
-        "head squashes: start-PC mismatch");
-    row("tasksSquashedOverrun", c.tasksSquashedOverrun,
-        "head squashes: runaway task");
-    row("tasksSquashedCascade", c.tasksSquashedCascade,
-        "younger tasks discarded on squash");
-    row("squashEvents", c.squashEvents, "squash events");
-    row("watchdogSquashes", c.watchdogSquashes,
-        "squashes forced by the watchdog");
-    row("masterInsts", c.masterInsts,
-        "distilled instructions executed");
-    row("slaveInsts", c.slaveInsts,
-        "original instructions executed on slaves");
-    row("wastedSlaveInsts", c.wastedSlaveInsts,
-        "slave instructions discarded by squashes");
-    row("seqModeInsts", c.seqModeInsts,
-        "instructions executed in sequential fallback");
-    row("seqModeCycles", c.seqModeCycles,
-        "cycles spent in sequential fallback");
-    row("masterStallWindowFull", c.masterStallWindowFull,
-        "cycles the master stalled on a full task window");
-    row("liveInCellsChecked", c.liveInCellsChecked,
-        "live-in cells verified at commit");
-    row("liveInCellsMismatched", c.liveInCellsMismatched,
-        "live-in cells that mismatched");
-    row("archReads", c.archReads,
-        "slave reads satisfied from architected state");
-    row("seqBackoffEvents", c.seqBackoffEvents,
-        "sequential-backoff episodes");
-    row("seqBackoffDecays", c.seqBackoffDecays,
-        "commits that decayed an active backoff");
-    row("tasksSquashedSpurious", c.tasksSquashedSpurious,
-        "head squashes: injected spurious squash");
-    row("watchdogEscalations", c.watchdogEscalations,
-        "watchdog firings escalated to Seq mode");
-    row("masterRunawayKills", c.masterRunawayKills,
-        "masters stopped by the runaway kill-switch");
-    row("masterDeadRestarts", c.masterDeadRestarts,
-        "fast restarts of a dead master");
-    row("mmioSerializations", c.mmioSerializations,
-        "device accesses serialized non-speculatively");
-    row("l1Hits", c.l1Hits, "slave L1 hits on read-throughs");
-    row("l1Misses", c.l1Misses, "slave L1 misses on read-throughs");
+    });
     if (injector_)
         injector_->dump(os);
     stats_root_.dump(os);
-}
-
-RecoveryReport
-MsspMachine::recoveryReport() const
-{
-    RecoveryReport r;
-    r.squashEvents = ctrs_.squashEvents;
-    r.watchdogSquashes = ctrs_.watchdogSquashes;
-    r.watchdogEscalations = ctrs_.watchdogEscalations;
-    r.masterRunawayKills = ctrs_.masterRunawayKills;
-    r.masterDeadRestarts = ctrs_.masterDeadRestarts;
-    r.spuriousSquashes = ctrs_.tasksSquashedSpurious;
-    r.seqBackoffEvents = ctrs_.seqBackoffEvents;
-    r.seqBackoffDecays = ctrs_.seqBackoffDecays;
-    r.currentSeqBackoff = seq_backoff_;
-    r.seqModeInsts = ctrs_.seqModeInsts;
-    r.faultsInjected =
-        injector_ ? injector_->counters().total() : 0;
-    return r;
-}
-
-std::string
-RecoveryReport::toString() const
-{
-    std::string s;
-    auto row = [&](const char *name, uint64_t v) {
-        s += strfmt("  %-22s %llu\n", name,
-                    static_cast<unsigned long long>(v));
-    };
-    row("squashEvents", squashEvents);
-    row("watchdogSquashes", watchdogSquashes);
-    row("watchdogEscalations", watchdogEscalations);
-    row("masterRunawayKills", masterRunawayKills);
-    row("masterDeadRestarts", masterDeadRestarts);
-    row("spuriousSquashes", spuriousSquashes);
-    row("seqBackoffEvents", seqBackoffEvents);
-    row("seqBackoffDecays", seqBackoffDecays);
-    row("currentSeqBackoff", currentSeqBackoff);
-    row("seqModeInsts", seqModeInsts);
-    row("faultsInjected", faultsInjected);
-    return s;
 }
 
 } // namespace mssp

@@ -27,6 +27,7 @@
 #define MSSP_MSSP_MACHINE_HH
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
 #include "mssp/config.hh"
+#include "mssp/counters.hh"
 #include "mssp/fork_sites.hh"
 #include "mssp/master.hh"
 #include "mssp/slave.hh"
@@ -96,81 +98,14 @@ struct ForkSiteStat
 /** Result of an MSSP run. */
 struct MsspResult
 {
-    bool halted = false;     ///< program ran to completion
-    bool faulted = false;    ///< program genuinely faulted
-    bool timedOut = false;   ///< hit the cycle limit
     StopReason stopReason = StopReason::TimedOut;
+    /** Shorthand for `stopReason == StopReason::Halted`. */
+    bool halted = false;
     uint64_t cycles = 0;
     uint64_t committedInsts = 0;
     OutputStream outputs;
     /** Original fork-site PC -> engage/squash attribution. */
     std::map<uint32_t, ForkSiteStat> siteStats;
-};
-
-/** Aggregated machine statistics (also exposed as a stats::Group). */
-struct MsspCounters
-{
-    uint64_t tasksForked = 0;
-    uint64_t tasksCommitted = 0;
-    uint64_t tasksSquashedLiveIn = 0;
-    uint64_t tasksSquashedWrongPc = 0;
-    uint64_t tasksSquashedOverrun = 0;
-    uint64_t tasksSquashedCascade = 0;
-    uint64_t squashEvents = 0;
-    uint64_t watchdogSquashes = 0;
-    uint64_t masterInsts = 0;
-    uint64_t slaveInsts = 0;         ///< executed, incl. wasted
-    uint64_t wastedSlaveInsts = 0;   ///< from squashed tasks
-    uint64_t seqModeInsts = 0;
-    uint64_t seqModeCycles = 0;
-    uint64_t masterStallWindowFull = 0;
-    uint64_t liveInCellsChecked = 0;
-    uint64_t liveInCellsMismatched = 0;
-    uint64_t archReads = 0;
-    uint64_t seqBackoffEvents = 0;
-    /** Commits that decayed an active sequential backoff. */
-    uint64_t seqBackoffDecays = 0;
-    /** Verifying head tasks squashed by fault injection. */
-    uint64_t tasksSquashedSpurious = 0;
-    /** Watchdog firings that escalated straight to Seq mode. */
-    uint64_t watchdogEscalations = 0;
-    /** Masters stopped by the runaway kill-switch. */
-    uint64_t masterRunawayKills = 0;
-    /** Fast restarts of a dead master with an empty pipeline (no
-     *  watchdog wait). */
-    uint64_t masterDeadRestarts = 0;
-    /** Tasks that stopped at a device access and were serialized. */
-    uint64_t mmioSerializations = 0;
-    /** Slave L1 filter statistics (0 when the L1 is disabled). */
-    uint64_t l1Hits = 0;
-    uint64_t l1Misses = 0;
-    /** Aggregate slave cycle breakdown (sums over all slaves). */
-    uint64_t slaveArchStallCycles = 0;
-    uint64_t slavePauseCycles = 0;
-    uint64_t slaveIdleCycles = 0;
-};
-
-/**
- * The recovery story of one run in one structure: how often each
- * defense fired and where the machine's backoff state ended up.
- * Campaigns embed this per run; dumpStats prints the same numbers.
- */
-struct RecoveryReport
-{
-    uint64_t squashEvents = 0;
-    uint64_t watchdogSquashes = 0;
-    uint64_t watchdogEscalations = 0;
-    uint64_t masterRunawayKills = 0;
-    uint64_t masterDeadRestarts = 0;
-    uint64_t spuriousSquashes = 0;
-    uint64_t seqBackoffEvents = 0;
-    uint64_t seqBackoffDecays = 0;
-    uint64_t currentSeqBackoff = 0;   ///< 0 = fully recovered
-    uint64_t seqModeInsts = 0;
-    uint64_t faultsInjected = 0;      ///< 0 when no injector attached
-
-    /** Multi-line human-readable rendering. */
-    std::string toString() const;
 };
 
 /** The full MSSP chip-multiprocessor model. */
@@ -201,17 +136,17 @@ class MsspMachine
     const MsspConfig &config() const { return cfg_; }
     /** Current simulation time (valid inside hooks). */
     Cycle now() const { return now_; }
-    const MsspCounters &counters() const { return ctrs_; }
+    /** Every counter as of now, the slave sums included (valid
+     *  mid-run and after a supervision trip). */
+    MsspCounters counters() const;
     const OutputStream &outputs() const { return outputs_; }
 
     /** Mean committed task size in instructions. */
     double meanTaskSize() const;
 
-    /** Dump a gem5-style statistics table. */
+    /** Dump a gem5-style statistics table: every counter, the fault
+     *  injector's counts when one is attached, and the histograms. */
     void dumpStats(std::ostream &os) const;
-
-    /** Recovery/backoff counters in one structure (see above). */
-    RecoveryReport recoveryReport() const;
 
     /**
      * Attach a fault injector (nullptr detaches). Non-owning; the
@@ -332,6 +267,8 @@ class MsspMachine
     uint64_t next_task_id_ = 1;
 
     OutputStream outputs_;
+    /** The machine's own counts; the slave sums are left at zero here
+     *  and filled in by counters(). */
     MsspCounters ctrs_;
     /** Per-fork-site engage/squash attribution (MsspResult). */
     std::map<uint32_t, ForkSiteStat> site_stats_;
@@ -343,8 +280,8 @@ class MsspMachine
      *  ImagePatch targets). */
     std::vector<uint32_t> dist_code_addrs_;
 
-    // Statistics (mirrors of ctrs_ for table dumping).
-    mutable stats::Group stats_root_{"mssp"};
+    // Histograms (dumpStats prints them after the counters).
+    stats::Group stats_root_{"mssp"};
     stats::Distribution task_size_dist_{&stats_root_, "taskSize",
         "committed task size (insts)", 0, 2000, 20};
     stats::Distribution checkpoint_dist_{&stats_root_, "checkpointCells",

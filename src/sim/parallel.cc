@@ -109,14 +109,23 @@ ThreadPool::nextJob(unsigned self, size_t &idx)
 }
 
 void
-ThreadPool::execute(size_t idx,
-                    std::vector<std::function<void()>> &jobs,
-                    std::vector<std::exception_ptr> &errors)
+ThreadPool::execute(size_t idx)
 {
+    // Look the batch arrays up per job, not once per batch: a worker
+    // still draining batch N can pop an index of batch N+1, whose
+    // arrays replaced N's before that index was dealt. They stay put
+    // until remaining_ hits zero, which needs this job to finish.
+    std::vector<std::function<void()>> *jobs = nullptr;
+    std::vector<std::exception_ptr> *errors = nullptr;
+    {
+        MutexLock lock(m_);
+        jobs = jobs_;
+        errors = errors_;
+    }
     try {
-        jobs[idx]();
+        (*jobs)[idx]();
     } catch (...) {
-        errors[idx] = std::current_exception();
+        (*errors)[idx] = std::current_exception();
     }
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last job out: wake the caller. Taking the lock orders this
@@ -131,8 +140,6 @@ ThreadPool::workerMain(unsigned self)
 {
     uint64_t seen = 0;
     for (;;) {
-        std::vector<std::function<void()>> *jobs = nullptr;
-        std::vector<std::exception_ptr> *errors = nullptr;
         {
             MutexLock lock(m_);
             while (!stop_ && batch_ == seen)
@@ -140,15 +147,10 @@ ThreadPool::workerMain(unsigned self)
             if (stop_)
                 return;
             seen = batch_;
-            // Snapshot the batch arrays under the lock; run() only
-            // clears them after remaining_ hits zero, so they outlive
-            // every execute() of this batch.
-            jobs = jobs_;
-            errors = errors_;
         }
         size_t idx;
         while (nextJob(self, idx))
-            execute(idx, *jobs, *errors);
+            execute(idx);
         // Batch drained (for this worker). Other workers may still be
         // executing; run() waits on remaining_, not on us.
     }

@@ -111,9 +111,8 @@ class ThreadPool
     void workerMain(unsigned self);
     /** Pop from own back, else steal from a sibling's front. */
     bool nextJob(unsigned self, size_t &idx);
-    /** Run job @p idx from the batch snapshot taken under m_. */
-    void execute(size_t idx, std::vector<std::function<void()>> &jobs,
-                 std::vector<std::exception_ptr> &errors);
+    /** Run job @p idx of the batch current when it was dealt. */
+    void execute(size_t idx);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::thread> workers_;

@@ -1,8 +1,6 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 
 #include "sim/logging.hh"
 #include "util/string_utils.hh"
@@ -10,60 +8,16 @@
 namespace mssp::stats
 {
 
-Info::Info(Group *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    MSSP_ASSERT(parent != nullptr);
-    parent->addStat(this);
-}
-
-void
-Scalar::format(const std::string &prefix,
-               std::vector<std::array<std::string, 3>> &rows) const
-{
-    rows.push_back({prefix + name(), strfmt("%llu",
-        static_cast<unsigned long long>(value_)), desc()});
-}
-
-void
-Average::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++count_;
-}
-
-void
-Average::format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows) const
-{
-    rows.push_back({prefix + name(),
-        strfmt("%.3f (n=%llu, min=%.1f, max=%.1f)", mean(),
-               static_cast<unsigned long long>(count_), min(), max()),
-        desc()});
-}
-
-void
-Average::reset()
-{
-    count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
 Distribution::Distribution(Group *parent, std::string name,
                            std::string desc, double lo, double hi,
                            size_t buckets)
-    : Info(parent, std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi),
+    : name_(std::move(name)), desc_(std::move(desc)), lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets)),
       buckets_(buckets, 0)
 {
+    MSSP_ASSERT(parent != nullptr);
     MSSP_ASSERT(hi > lo && buckets > 0);
+    parent->add(this);
 }
 
 void
@@ -87,85 +41,37 @@ void
 Distribution::format(const std::string &prefix,
                      std::vector<std::array<std::string, 3>> &rows) const
 {
-    rows.push_back({prefix + name(),
+    const std::string name = prefix + name_;
+    rows.push_back({name,
         strfmt("mean=%.2f n=%llu", mean(),
                static_cast<unsigned long long>(count_)),
-        desc()});
+        desc_});
     for (size_t i = 0; i < buckets_.size(); ++i) {
         if (buckets_[i] == 0)
             continue;
         double b_lo = lo_ + width_ * static_cast<double>(i);
-        rows.push_back({prefix + name() +
-            strfmt("::[%g,%g)", b_lo, b_lo + width_),
+        rows.push_back({name + strfmt("::[%g,%g)", b_lo, b_lo + width_),
             strfmt("%llu", static_cast<unsigned long long>(buckets_[i])),
             ""});
     }
     if (underflow_) {
-        rows.push_back({prefix + name() + "::underflow",
+        rows.push_back({name + "::underflow",
             strfmt("%llu", static_cast<unsigned long long>(underflow_)),
             ""});
     }
     if (overflow_) {
-        rows.push_back({prefix + name() + "::overflow",
+        rows.push_back({name + "::overflow",
             strfmt("%llu", static_cast<unsigned long long>(overflow_)),
             ""});
     }
 }
 
 void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = count_ = 0;
-    sum_ = 0.0;
-}
-
-void
-Formula::format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows) const
-{
-    double v = value();
-    std::string text = std::isfinite(v) ? strfmt("%.4f", v) : "nan";
-    rows.push_back({prefix + name(), text, desc()});
-}
-
-Group::Group(std::string name, Group *parent)
-    : name_(std::move(name)), parent_(parent)
-{
-    if (parent_)
-        parent_->addChild(this);
-}
-
-Group::~Group()
-{
-    if (parent_)
-        parent_->removeChild(this);
-}
-
-void
-Group::removeChild(Group *g)
-{
-    children_.erase(std::remove(children_.begin(), children_.end(), g),
-                    children_.end());
-}
-
-void
-Group::collect(const std::string &prefix,
-               std::vector<std::array<std::string, 3>> &rows) const
-{
-    std::string here = prefix.empty() ? name_ + "."
-                                      : prefix + name_ + ".";
-    for (const auto *s : stats_)
-        s->format(here, rows);
-    for (const auto *g : children_)
-        g->collect(here, rows);
-}
-
-void
 Group::dump(std::ostream &os) const
 {
     std::vector<std::array<std::string, 3>> rows;
-    collect("", rows);
+    for (const Distribution *d : stats_)
+        d->format(name_ + ".", rows);
     size_t w0 = 0, w1 = 0;
     for (const auto &r : rows) {
         w0 = std::max(w0, r[0].size());
@@ -177,15 +83,6 @@ Group::dump(std::ostream &os) const
             os << "# " << r[2];
         os << '\n';
     }
-}
-
-void
-Group::resetAll()
-{
-    for (auto *s : stats_)
-        s->reset();
-    for (auto *g : children_)
-        g->resetAll();
 }
 
 } // namespace mssp::stats

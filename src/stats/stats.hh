@@ -1,12 +1,11 @@
 /**
  * @file
- * A small gem5-flavored statistics package.
+ * A small gem5-flavored histogram package.
  *
- * Statistics are registered with a Group (which may nest) and dumped
- * as an aligned text table. Supported kinds: Scalar (a counter),
- * Average (mean over samples), Distribution (bucketed histogram over a
- * fixed range with underflow/overflow), and Formula (a derived value
- * computed at dump time).
+ * A Distribution (bucketed histogram over a fixed range with
+ * underflow/overflow) registers with a Group, which dumps all of its
+ * distributions as one aligned text table. Plain counters live in
+ * their owner's registry instead (the machine's: mssp/counters.hh).
  */
 
 #ifndef MSSP_STATS_STATS_HH
@@ -14,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -24,88 +22,15 @@ namespace mssp::stats
 
 class Group;
 
-/** Base class for all statistics; handles name/description plumbing. */
-class Info
-{
-  public:
-    Info(Group *parent, std::string name, std::string desc);
-    virtual ~Info() = default;
-
-    Info(const Info &) = delete;
-    Info &operator=(const Info &) = delete;
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-    /** Append formatted rows for this stat to @p rows. */
-    virtual void
-    format(const std::string &prefix,
-           std::vector<std::array<std::string, 3>> &rows) const = 0;
-
-    /** Reset to the post-construction state. */
-    virtual void reset() = 0;
-
-  private:
-    std::string name_;
-    std::string desc_;
-};
-
-/** A simple additive counter. */
-class Scalar : public Info
-{
-  public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
-    {}
-
-    Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(uint64_t v) { value_ += v; return *this; }
-    void set(uint64_t v) { value_ = v; }
-
-    uint64_t value() const { return value_; }
-
-    void format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows)
-                const override;
-    void reset() override { value_ = 0; }
-
-  private:
-    uint64_t value_ = 0;
-};
-
-/** Mean/min/max over a stream of samples. */
-class Average : public Info
-{
-  public:
-    Average(Group *parent, std::string name, std::string desc)
-        : Info(parent, std::move(name), std::move(desc))
-    {}
-
-    void sample(double v);
-
-    uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows)
-                const override;
-    void reset() override;
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** Bucketed histogram over [lo, hi) with fixed-width buckets. */
-class Distribution : public Info
+class Distribution
 {
   public:
     Distribution(Group *parent, std::string name, std::string desc,
                  double lo, double hi, size_t buckets);
+
+    Distribution(const Distribution &) = delete;
+    Distribution &operator=(const Distribution &) = delete;
 
     void sample(double v);
 
@@ -114,14 +39,14 @@ class Distribution : public Info
     uint64_t bucketCount(size_t i) const { return buckets_.at(i); }
     uint64_t underflows() const { return underflow_; }
     uint64_t overflows() const { return overflow_; }
-    size_t numBuckets() const { return buckets_.size(); }
 
+    /** Append (name, value, description) rows for the dump. */
     void format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows)
-                const override;
-    void reset() override;
+                std::vector<std::array<std::string, 3>> &rows) const;
 
   private:
+    std::string name_;
+    std::string desc_;
     double lo_;
     double hi_;
     double width_;
@@ -132,61 +57,24 @@ class Distribution : public Info
     double sum_ = 0.0;
 };
 
-/** A value computed at dump time from other statistics. */
-class Formula : public Info
-{
-  public:
-    Formula(Group *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : Info(parent, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
-    {}
-
-    double value() const { return fn_ ? fn_() : 0.0; }
-
-    void format(const std::string &prefix,
-                std::vector<std::array<std::string, 3>> &rows)
-                const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn_;
-};
-
-/**
- * A named collection of statistics; groups nest to form a hierarchy
- * whose dotted path prefixes stat names in the dump.
- */
+/** A named set of distributions; the name prefixes each row. */
 class Group
 {
   public:
-    explicit Group(std::string name, Group *parent = nullptr);
-    ~Group();
+    explicit Group(std::string name) : name_(std::move(name)) {}
 
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
 
-    const std::string &name() const { return name_; }
-
-    /** Dump all stats under this group as an aligned table. */
+    /** Dump every distribution as an aligned table. */
     void dump(std::ostream &os) const;
 
-    /** Reset all stats under this group. */
-    void resetAll();
-
-    /** @internal Registration hooks. */
-    void addStat(Info *stat) { stats_.push_back(stat); }
-    void addChild(Group *g) { children_.push_back(g); }
-    void removeChild(Group *g);
+    /** @internal Registration hook (Distribution's constructor). */
+    void add(const Distribution *d) { stats_.push_back(d); }
 
   private:
-    void collect(const std::string &prefix,
-                 std::vector<std::array<std::string, 3>> &rows) const;
-
     std::string name_;
-    Group *parent_;
-    std::vector<Info *> stats_;
-    std::vector<Group *> children_;
+    std::vector<const Distribution *> stats_;
 };
 
 } // namespace mssp::stats

@@ -60,7 +60,7 @@ TEST(Harness, RunWorkloadProducesConsistentMetrics)
                     static_cast<double>(run.msspCycles),
                 1e-9);
     EXPECT_NEAR(run.distillRatio,
-                static_cast<double>(run.masterInsts) /
+                static_cast<double>(run.counters.masterInsts) /
                     static_cast<double>(run.seqInsts),
                 1e-9);
     EXPECT_GT(run.meanTaskSize, 1.0);
@@ -78,7 +78,7 @@ TEST(Harness, RunPreparedMatchesRunWorkload)
                                         dopts);
     WorkloadRun b = runPrepared(wl.name, prepared, cfg);
     EXPECT_EQ(a.msspCycles, b.msspCycles);
-    EXPECT_EQ(a.masterInsts, b.masterInsts);
+    EXPECT_EQ(a.counters.masterInsts, b.counters.masterInsts);
     EXPECT_EQ(a.ok, b.ok);
 }
 

@@ -172,7 +172,7 @@ TEST(MsspMachine, GenuineFaultIsReported)
     PreparedWorkload w = prepare(src, src);
     MsspMachine machine(w.orig, w.dist, MsspConfig{});
     MsspResult r = machine.run(10000000);
-    EXPECT_TRUE(r.faulted);
+    EXPECT_EQ(r.stopReason, StopReason::Faulted);
     EXPECT_FALSE(r.halted);
 
     SeqMachine seq(w.orig);
@@ -204,9 +204,50 @@ TEST(MsspMachine, StatsDumpIsWellFormed)
     std::ostringstream os;
     machine.dumpStats(os);
     std::string text = os.str();
-    EXPECT_NE(text.find("mssp.tasksCommitted"), std::string::npos);
-    EXPECT_NE(text.find("mssp.masterInsts"), std::string::npos);
+    // One row per registry counter, then the histograms.
+    forEachCounter(machine.counters(), [&](const char *name, uint64_t v,
+                                           const char *desc) {
+        EXPECT_NE(text.find(strfmt("mssp.%-28s %12llu  # %s\n", name,
+                                   static_cast<unsigned long long>(v),
+                                   desc)),
+                  std::string::npos) << name;
+    });
+    EXPECT_NE(text.find("mssp.slaveIdleCycles"), std::string::npos);
     EXPECT_NE(text.find("taskSize"), std::string::npos);
+}
+
+TEST(MsspMachine, ResumedRunCountsLikeOneRun)
+{
+    // run() stops at an absolute cycle; calling it again continues.
+    // A run split at a cycle cap must be indistinguishable from one
+    // uninterrupted run in every counter, the slave sums included.
+    PreparedWorkload w = prepare(biasedSumSource(400, 91),
+                                 biasedSumSource(256, 92));
+    MsspConfig cfg;
+    MsspMachine whole(w.orig, w.dist, cfg);
+    MsspResult a = whole.run(10000000);
+    ASSERT_TRUE(a.halted);
+
+    MsspMachine split(w.orig, w.dist, cfg);
+    MsspResult first = split.run(a.cycles / 2);
+    EXPECT_EQ(first.stopReason, StopReason::TimedOut);
+    EXPECT_FALSE(first.halted);
+    MsspResult b = split.run(10000000);
+    ASSERT_TRUE(b.halted);
+    EXPECT_EQ(b.cycles, a.cycles);
+    EXPECT_EQ(b.outputs, a.outputs);
+
+    EXPECT_GT(whole.counters().slaveIdleCycles, 0u);
+    std::vector<uint64_t> got;
+    forEachCounter(split.counters(),
+                   [&](const char *, uint64_t v, const char *) {
+                       got.push_back(v);
+                   });
+    size_t i = 0;
+    forEachCounter(whole.counters(),
+                   [&](const char *name, uint64_t want, const char *) {
+                       EXPECT_EQ(got.at(i++), want) << name;
+                   });
 }
 
 TEST(MsspMachine, CommitHookObservesTaskSafety)

@@ -251,8 +251,9 @@ TEST(Speculate, SweepBakesProvenLoadsAndShortensMasterPath)
         WorkloadRun srun =
             runPrepared(wl.name, sw, MsspConfig{}, 400000000ull);
         EXPECT_TRUE(srun.ok);
-        EXPECT_LE(srun.masterInsts, base.masterInsts);
-        if (proven >= 1 && srun.masterInsts < base.masterInsts)
+        EXPECT_LE(srun.counters.masterInsts, base.counters.masterInsts);
+        if (proven >= 1 &&
+            srun.counters.masterInsts < base.counters.masterInsts)
             ++proven_and_fewer;
     }
     EXPECT_GE(proven_and_fewer, 8u);

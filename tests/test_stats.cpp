@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the statistics package.
+ * Unit tests for the histogram package.
  */
 
 #include <gtest/gtest.h>
@@ -13,31 +13,6 @@ namespace mssp::stats
 {
 namespace
 {
-
-TEST(Stats, ScalarCounts)
-{
-    Group root("root");
-    Scalar s(&root, "events", "number of events");
-    EXPECT_EQ(s.value(), 0u);
-    ++s;
-    s += 4;
-    EXPECT_EQ(s.value(), 5u);
-    s.reset();
-    EXPECT_EQ(s.value(), 0u);
-}
-
-TEST(Stats, AverageTracksMoments)
-{
-    Group root("root");
-    Average a(&root, "lat", "latency");
-    a.sample(10);
-    a.sample(20);
-    a.sample(0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 10.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 20.0);
-}
 
 TEST(Stats, DistributionBuckets)
 {
@@ -57,47 +32,20 @@ TEST(Stats, DistributionBuckets)
     EXPECT_EQ(d.overflows(), 1u);
 }
 
-TEST(Stats, FormulaEvaluatesAtDump)
-{
-    Group root("root");
-    Scalar hits(&root, "hits", "");
-    Scalar total(&root, "total", "");
-    Formula rate(&root, "rate", "hit rate", [&] {
-        return total.value()
-                   ? static_cast<double>(hits.value()) /
-                         static_cast<double>(total.value())
-                   : 0.0;
-    });
-    hits += 3;
-    total += 4;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-}
-
 TEST(Stats, GroupDumpContainsDottedPaths)
 {
     Group root("machine");
-    Group sub("master", &root);
-    Scalar insts(&sub, "insts", "instructions executed");
-    insts += 7;
+    Distribution d(&root, "taskSize", "task size (insts)", 0, 100, 10);
+    d.sample(7);
+    d.sample(-3);
     std::ostringstream os;
     root.dump(os);
     std::string text = os.str();
-    EXPECT_NE(text.find("machine.master.insts"), std::string::npos);
-    EXPECT_NE(text.find("7"), std::string::npos);
-    EXPECT_NE(text.find("instructions executed"), std::string::npos);
-}
-
-TEST(Stats, ResetAllRecurses)
-{
-    Group root("root");
-    Group sub("sub", &root);
-    Scalar a(&root, "a", "");
-    Scalar b(&sub, "b", "");
-    a += 1;
-    b += 2;
-    root.resetAll();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
+    EXPECT_NE(text.find("machine.taskSize "), std::string::npos);
+    EXPECT_NE(text.find("mean=2.00 n=2"), std::string::npos);
+    EXPECT_NE(text.find("machine.taskSize::[0,10)"), std::string::npos);
+    EXPECT_NE(text.find("machine.taskSize::underflow"), std::string::npos);
+    EXPECT_NE(text.find("# task size (insts)"), std::string::npos);
 }
 
 } // anonymous namespace
