@@ -123,20 +123,6 @@ struct AliasResult
     /** Memory-dependence summary per region bit (index = bit). */
     std::map<unsigned, RegionWriteSummary> regionWrites;
 
-    /**
-     * First store whose may-set contains the constant address @p a
-     * (excluding @p ignore_pc), or null when no store can write it.
-     */
-    const MemAccess *
-    interferingStore(uint32_t a, uint32_t ignore_pc = UINT32_MAX) const
-    {
-        for (const MemAccess &s : stores) {
-            if (s.pc != ignore_pc && s.mayTouch(a))
-                return &s;
-        }
-        return nullptr;
-    }
-
     /** All stores whose may-set contains @p a. */
     std::vector<const MemAccess *>
     interferingStores(uint32_t a) const

@@ -116,17 +116,11 @@ struct Sem
 
     Sem(const Program &orig, const DistilledProgram &dist)
         : orig(orig), dist(dist),
-          origCfg(Cfg::build(orig, orig.entry()))
+          origCfg(Cfg::build(orig, orig.entry())),
+          distCfg(distilledCfg(dist))
     {
         origLive = computeLiveness(origCfg);
         ai = analyzeProgram(orig, origCfg);
-
-        std::vector<uint32_t> roots;
-        for (const auto &[o, dpc] : dist.entryMap)
-            roots.push_back(dpc);
-        for (const auto &[o, dpc] : dist.addrMap)
-            roots.push_back(dpc);
-        distCfg = Cfg::build(dist.prog, dist.prog.entry(), roots);
 
         for (const auto &[start, bb] : origCfg.blocks())
             projStarts.push_back(start);
@@ -912,26 +906,6 @@ SemanticReport::toText() const
     return out;
 }
 
-namespace
-{
-
-std::string
-jsonEscapeSem(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += strfmt("\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += strfmt("\\u%04x", c);
-        else
-            out += c;
-    }
-    return out;
-}
-
-} // anonymous namespace
-
 std::string
 SemanticResult::toJson() const
 {
@@ -952,7 +926,7 @@ SemanticResult::toJson() const
                       v.index, distillPassName(v.edit.pass),
                       v.edit.origPc, v.edit.reg,
                       editRiskName(v.risk),
-                      jsonEscapeSem(v.detail).c_str());
+                      escapeReportJson(v.detail).c_str());
     }
     out += "]}\n";
     return out;

@@ -18,21 +18,6 @@ namespace mssp::analysis
 namespace
 {
 
-std::string
-jsonEscapePlan(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += strfmt("\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += strfmt("\\u%04x", c);
-        else
-            out += c;
-    }
-    return out;
-}
-
 /** "12.345678" — benefitMicro rendered as a fixed-point unit score. */
 std::string
 fmtBenefit(uint64_t micro)
@@ -135,15 +120,8 @@ SpecPlanReport::likely() const
 }
 
 std::vector<SpecPlanCandidate>
-planSpeculation(const Program &orig, const DistilledProgram &dist,
-                size_t *loadsConsidered)
+planSpeculation(const DistilledProgram &dist, const ValueFlowResult &vf)
 {
-    std::vector<LoadClassification> classes =
-        classifySpecLoads(orig, dist);
-    ValueFlowResult vf = analyzeValueFlow(orig, dist, classes);
-    if (loadsConsidered)
-        *loadsConsidered = vf.loadsConsidered;
-
     std::vector<SpecPlanCandidate> out;
     out.reserve(vf.facts.size());
     for (const LoadValueFact &f : vf.facts) {
@@ -173,9 +151,13 @@ planSpeculation(const Program &orig, const DistilledProgram &dist,
 SpecPlanReport
 analyzeSpecPlan(const Program &orig, const DistilledProgram &dist)
 {
+    Cfg origCfg = Cfg::build(orig, orig.entry());
+    AbsintResult origAi = analyzeProgram(orig, origCfg);
+    MergedImageAnalysis mia(orig, origCfg, origAi, dist);
+    ValueFlowResult vf = analyzeValueFlow(mia, classifySpecLoads(mia));
     SpecPlanReport rep;
-    rep.candidates =
-        planSpeculation(orig, dist, &rep.loadsConsidered);
+    rep.candidates = planSpeculation(dist, vf);
+    rep.loadsConsidered = vf.loadsConsidered;
 
     auto addFinding = [&rep](LintCheck check, uint32_t pc,
                              std::string message) {
@@ -307,7 +289,7 @@ SpecPlanReport::toJson(const std::string &workload) const
         else
             out += "\"storePc\": null, ";
         out += strfmt("\"detail\": \"%s\"}",
-                      jsonEscapePlan(c.detail).c_str());
+                      escapeReportJson(c.detail).c_str());
     }
     // Embed the metadata-validation findings as the report's "lint"
     // object (its trailing newline dropped).

@@ -90,14 +90,13 @@ struct SpecPlanReport
 };
 
 /**
- * Compute the ranked plan for @p dist (pure recomputation; ignores
- * dist.specPlan). This is what distill() uses to stamp the image.
- * @p loadsConsidered, when non-null, receives the value-flow pass's
- * eligible-load count (the coverage denominator).
+ * Rank the forwarding facts of @p vf, the value-flow result of
+ * @p dist's merged image, into the speculation plan (pure
+ * recomputation; ignores dist.specPlan). This is what distill()
+ * uses to stamp the image.
  */
 std::vector<SpecPlanCandidate>
-planSpeculation(const Program &orig, const DistilledProgram &dist,
-                size_t *loadsConsidered = nullptr);
+planSpeculation(const DistilledProgram &dist, const ValueFlowResult &vf);
 
 /**
  * Plan and validate: recompute the plan and check the image's

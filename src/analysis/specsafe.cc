@@ -12,21 +12,6 @@ namespace mssp::analysis
 namespace
 {
 
-std::string
-jsonEscapeSpec(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += strfmt("\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += strfmt("\\u%04x", c);
-        else
-            out += c;
-    }
-    return out;
-}
-
 /** Classify one reachable load against the merged store set. */
 LoadClassification
 classifyLoad(const MemAccess &ld, const Program &merged,
@@ -119,69 +104,22 @@ classifyLoad(const MemAccess &ld, const Program &merged,
 
 } // anonymous namespace
 
-Program
-mergedImage(const Program &orig, const DistilledProgram &dist)
-{
-    Program merged = orig;
-    for (const auto &[addr, word] : dist.prog.image())
-        merged.setWord(addr, word);
-    merged.setEntry(dist.prog.entry());
-    return merged;
-}
-
 std::vector<LoadClassification>
-classifySpecLoads(const Program &orig, const DistilledProgram &dist)
+classifySpecLoads(const MergedImageAnalysis &mia)
 {
-    Program merged = mergedImage(orig, dist);
-
-    // Pass 1: the sequential original program on its own. Its block
-    // in-states over-approximate every architected state a master
-    // restart can occur in (absint.hh), which is exactly the bound a
-    // restart point needs.
-    Cfg origCfg = Cfg::build(orig, orig.entry());
-    AbsintResult origAi = analyzeProgram(orig, origCfg);
-
-    // Pass 2 roots: the original entry (the merged image keeps all
-    // original code live for the store summary — a raw SEQ run of
-    // the merged program can fall back into it through an
-    // untranslated return), plus every restart point of the
-    // distilled code, each seeded with the original program's
-    // abstract state at the pc it restarts from rather than the
-    // all-unknown default (which would flush the address facts out
-    // of every loop a fork site sits in). The addrMap targets are
-    // deliberately NOT roots: every surviving block is an addrMap
-    // value, so rooting them would join unknown state into the whole
-    // distilled image. They are reached through ordinary edges
-    // instead — calls carry their return point as a successor
-    // (cfg.hh), the same §3.9 control-flow assumption the rest of
-    // the toolchain builds on — and any load the discovery still
-    // misses falls out Risky below.
-    std::vector<uint32_t> roots;
-    std::map<uint32_t, AbsState> rootBoundary;
-    roots.push_back(orig.entry());
-    for (const auto &[o, dpc] : dist.entryMap) {
-        roots.push_back(dpc);
-        AbsState st = stateBefore(origAi, origCfg, orig, o);
-        if (st.reachable)
-            rootBoundary[dpc] = st;
-    }
-    Cfg cfg = Cfg::build(merged, merged.entry(), roots);
-    AbsintResult ai = analyzeProgram(merged, cfg, &rootBoundary);
-    AliasResult al = analyzeAliases(merged, cfg, ai);
-
     std::vector<LoadClassification> out;
     std::map<uint32_t, size_t> byPc;
-    for (const MemAccess &ld : al.loads) {
+    for (const MemAccess &ld : mia.al.loads) {
         if (ld.pc < DistilledCodeBase)
             continue;   // original-code loads are not classified
         byPc[ld.pc] = out.size();
-        out.push_back(classifyLoad(ld, merged, al));
+        out.push_back(classifyLoad(ld, mia.merged, mia.al));
     }
 
     // Coverage: every static load in the distilled image gets a
     // class. A load outside the discovered (or abstractly reachable)
     // code has no abstract address state — conservatively Risky.
-    for (const auto &[addr, word] : dist.prog.image()) {
+    for (const auto &[addr, word] : mia.dist.prog.image()) {
         Instruction inst = decode(word);
         if (!isLoad(inst.op) || byPc.count(addr))
             continue;
@@ -204,8 +142,11 @@ classifySpecLoads(const Program &orig, const DistilledProgram &dist)
 SpecSafeReport
 analyzeSpecSafe(const Program &orig, const DistilledProgram &dist)
 {
+    Cfg origCfg = Cfg::build(orig, orig.entry());
+    AbsintResult origAi = analyzeProgram(orig, origCfg);
     SpecSafeReport rep;
-    rep.loads = classifySpecLoads(orig, dist);
+    rep.loads = classifySpecLoads(
+        MergedImageAnalysis(orig, origCfg, origAi, dist));
 
     auto addFinding = [&rep](LintCheck check, uint32_t pc,
                              std::string message) {
@@ -312,18 +253,18 @@ SpecSafeReport::toJson(const std::string &workload) const
         out += strfmt("{\"pc\": \"0x%x\", \"class\": \"%s\", "
                       "\"addr\": \"%s\", ",
                       c.pc, loadSpecClassName(c.cls),
-                      jsonEscapeSpec(c.addr.toString()).c_str());
+                      escapeReportJson(c.addr.toString()).c_str());
         if (c.storePc != UINT32_MAX) {
             out += strfmt("\"storePc\": \"0x%x\", \"storeAddr\": "
                           "\"%s\", ",
                           c.storePc,
-                          jsonEscapeSpec(c.storeAddr.toString())
+                          escapeReportJson(c.storeAddr.toString())
                               .c_str());
         } else {
             out += "\"storePc\": null, \"storeAddr\": null, ";
         }
         out += strfmt("\"detail\": \"%s\"}",
-                      jsonEscapeSpec(c.detail).c_str());
+                      escapeReportJson(c.detail).c_str());
     }
     // Embed the metadata-validation findings as the report's "lint"
     // object (its trailing newline dropped).

@@ -5,10 +5,9 @@
  * The paper's headline distillation knob replaces near-invariant
  * loads with constants; before the distiller may speculate a load it
  * needs a *static* oracle proving which loads are safe. This pass is
- * that oracle (DESIGN.md §5.3): it superimposes the distilled code
- * onto the original image (they share the data address space), runs
- * the interval abstract interpreter and the store-set analysis
- * (analysis/alias.hh) over the merged program, and labels every
+ * that oracle (DESIGN.md §5.3): over the merged original+distilled
+ * image's interval abstract interpretation and store sets
+ * (analysis/merged_image.hh, analysis/alias.hh) it labels every
  * static load in the distilled code:
  *
  *  - ProvablyInvariant: the address is exactly known, is not device
@@ -40,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/alias.hh"
+#include "analysis/merged_image.hh"
 #include "analysis/verifier.hh"
 
 namespace mssp::analysis
@@ -83,21 +82,12 @@ struct SpecSafeReport
 };
 
 /**
- * The original image with the distilled code superimposed: distilled
- * code words overlay @p orig (they live at DistilledCodeBase, far
- * from original code and data) and the entry moves to the distilled
- * entry. This is the address space the master executes in, and the
- * program the dynamic validation gate runs on SEQ.
- */
-Program mergedImage(const Program &orig,
-                    const DistilledProgram &dist);
-
-/**
- * Classify every static load in @p dist (pure recomputation; ignores
- * dist.loadClasses). This is what distill() uses to stamp the image.
+ * Classify every static load of @p mia's distilled image (pure
+ * recomputation; ignores dist.loadClasses). This is what distill()
+ * uses to stamp the image.
  */
 std::vector<LoadClassification>
-classifySpecLoads(const Program &orig, const DistilledProgram &dist);
+classifySpecLoads(const MergedImageAnalysis &mia);
 
 /**
  * Classify and validate: recompute the classification and check the

@@ -243,40 +243,13 @@ solveValueFlow(const Program &prog, const Cfg &cfg,
 
 } // anonymous namespace
 
-size_t
-ValueFlowResult::provenFacts() const
-{
-    size_t n = 0;
-    for (const LoadValueFact &f : facts)
-        n += f.proof == ValueProof::Proven;
-    return n;
-}
-
-size_t
-ValueFlowResult::likelyFacts() const
-{
-    size_t n = 0;
-    for (const LoadValueFact &f : facts)
-        n += f.proof == ValueProof::Likely;
-    return n;
-}
-
-const LoadValueFact *
-ValueFlowResult::factAt(uint32_t pc) const
-{
-    for (const LoadValueFact &f : facts) {
-        if (f.pc == pc)
-            return &f;
-    }
-    return nullptr;
-}
-
 ValueFlowResult
-analyzeValueFlow(const Program &orig, const DistilledProgram &dist,
+analyzeValueFlow(const MergedImageAnalysis &mia,
                  const std::vector<LoadClassification> &classes)
 {
     ValueFlowResult res;
-    Program merged = mergedImage(orig, dist);
+    const Program &orig = mia.orig;
+    const Program &merged = mia.merged;
 
     // Tracked words: the proven-constant, non-device addresses of
     // invariant-class loads. A load that reads *code* in the
@@ -288,7 +261,7 @@ analyzeValueFlow(const Program &orig, const DistilledProgram &dist,
         if (c.cls == LoadSpecClass::Risky || !c.addr.isConst())
             continue;
         uint32_t a = c.addr.cval();
-        if (isMmio(a) || dist.prog.image().count(a))
+        if (isMmio(a) || mia.dist.prog.image().count(a))
             continue;
         tracked.insert(a);
     }
@@ -297,71 +270,55 @@ analyzeValueFlow(const Program &orig, const DistilledProgram &dist,
     // state — registers unknown, every tracked word holding its
     // image value. Its in-states over-approximate the architected
     // state (registers *and* memory) at every master restart point,
-    // the same bound specsafe derives for registers alone.
-    Cfg origCfg = Cfg::build(orig, orig.entry());
-    AbsintResult origAi = analyzeProgram(orig, origCfg);
-
+    // the bound merged_image.hh seeds the registers from.
     VfState origEntry;
     origEntry.regs = AbsState::entry();
     for (uint32_t a : tracked)
         origEntry.mem[a] = AbsVal::constant(orig.word(a));
     std::map<uint32_t, VfState> origRoots;
     origRoots[orig.entry()] = origEntry;
-    std::map<uint32_t, VfState> origIn = solveValueFlow(
-        orig, origCfg, origAi.stores, origRoots, origEntry);
+    std::map<uint32_t, VfState> origIn =
+        solveValueFlow(orig, mia.origCfg, mia.origAi.stores, origRoots,
+                       origEntry);
 
-    // Pass 2 roots mirror classifySpecLoads: the original entry (a
-    // raw SEQ run of the merged image can fall back into original
-    // code) plus every restart point, seeded from pass 1's state at
-    // the original PC it restarts from.
-    std::vector<uint32_t> roots;
-    std::map<uint32_t, AbsState> regBoundary;
-    roots.push_back(orig.entry());
-    for (const auto &[o, dpc] : dist.entryMap) {
-        roots.push_back(dpc);
-        AbsState st = stateBefore(origAi, origCfg, orig, o);
-        if (st.reachable)
-            regBoundary[dpc] = st;
-    }
-    Cfg cfg = Cfg::build(merged, merged.entry(), roots);
-    AbsintResult ai = analyzeProgram(merged, cfg, &regBoundary);
-    AliasResult al = analyzeAliases(merged, cfg, ai);
-
-    // The fallback root state covers landing pads with no better
-    // bound (the original entry, unreachable restart PCs): any word
-    // some merged-image store may write is unknown there.
+    // Pass 2 runs over the merged image from its restart roots, each
+    // seeded with pass 1's memory state at the original PC it
+    // restarts from. The fallback root state covers landing pads
+    // with no better bound (the original entry, unreachable restart
+    // PCs): any word some merged-image store may write is unknown
+    // there.
     VfState fallback;
     fallback.regs = AbsState::entry();
     for (uint32_t a : tracked) {
-        fallback.mem[a] = ai.stores.mayWrite(a)
+        fallback.mem[a] = mia.ai.stores.mayWrite(a)
                               ? AbsVal::top()
                               : AbsVal::constant(merged.word(a));
     }
     std::map<uint32_t, VfState> mergedRoots;
-    for (const auto &[o, dpc] : dist.entryMap) {
+    for (const auto &[o, dpc] : mia.dist.entryMap) {
         VfState st;
-        auto rit = regBoundary.find(dpc);
-        st.regs = rit != regBoundary.end() ? rit->second
-                                           : AbsState::entry();
-        VfState ost = vfStateBefore(origCfg, origIn, &orig,
-                                    &origAi.stores, o);
+        auto rit = mia.rootBoundary.find(dpc);
+        st.regs = rit != mia.rootBoundary.end() ? rit->second
+                                                : AbsState::entry();
+        VfState ost = vfStateBefore(mia.origCfg, origIn, &orig,
+                                    &mia.origAi.stores, o);
         st.mem = ost.regs.reachable ? ost.mem : fallback.mem;
         mergedRoots[dpc] = std::move(st);
     }
     std::map<uint32_t, VfState> mergedIn = solveValueFlow(
-        merged, cfg, ai.stores, mergedRoots, fallback);
+        merged, mia.cfg, mia.ai.stores, mergedRoots, fallback);
 
     // Region context for the planner: every classified load's mask
     // (loads the discovery missed are conservatively everywhere).
     std::map<uint32_t, RegionMask> loadMask;
-    for (const MemAccess &ld : al.loads)
+    for (const MemAccess &ld : mia.al.loads)
         loadMask[ld.pc] = ld.regions;
     for (const LoadClassification &c : classes) {
         auto it = loadMask.find(c.pc);
         res.loadRegions[c.pc] = {
             it != loadMask.end() ? it->second : RegionAll, c.cls};
     }
-    res.blockRegions = al.blockRegions;
+    res.blockRegions = mia.al.blockRegions;
 
     // Derive one forwarding fact per eligible load.
     for (const LoadClassification &c : classes) {
@@ -378,14 +335,14 @@ analyzeValueFlow(const Program &orig, const DistilledProgram &dist,
         f.cls = c.cls;
         f.regions = res.loadRegions[c.pc].regions;
 
-        VfState at = vfStateBefore(cfg, mergedIn, &merged,
-                                   &ai.stores, c.pc);
+        VfState at = vfStateBefore(mia.cfg, mergedIn, &merged,
+                                   &mia.ai.stores, c.pc);
         if (!at.regs.reachable)
             continue;
         AbsVal memv = at.mem.count(a) ? at.mem[a] : AbsVal::top();
 
         std::vector<const MemAccess *> aliasing =
-            al.interferingStores(a);
+            mia.al.interferingStores(a);
         if (memv.isConst()) {
             f.proof = ValueProof::Proven;
             f.value = memv.cval();

@@ -4,18 +4,18 @@
  *
  * The speculation-safety classifier (analysis/specsafe.hh) answers
  * *whether* a distilled-image load is safe to speculate; this pass
- * answers *what value* it yields. It reruns the interval abstract
+ * answers *what value* it yields. It runs the interval abstract
  * interpreter (analysis/absint.hh) over the merged original+distilled
- * image extended with a flow-sensitive memory component: for every
- * provably-disambiguated load address (the constant, non-MMIO
- * addresses of ProvablyInvariant/RegionInvariant loads) the abstract
- * state carries the interval of values that memory word can hold
- * *at that program point*. Stores with an exactly known address
- * update the tracked word strongly; stores whose address interval
- * merely overlaps it join their value in weakly; everything else is
- * the ordinary register interval transfer (constant arithmetic
- * delegated to evalAlu, decided branches pruned via the solver's
- * edgeOut hook — DESIGN.md §5.4).
+ * image (analysis/merged_image.hh), extended with a flow-sensitive
+ * memory component: for every provably-disambiguated load address
+ * (the constant, non-MMIO addresses of ProvablyInvariant/
+ * RegionInvariant loads) the abstract state carries the interval of
+ * values that memory word can hold *at that program point*. Stores
+ * with an exactly known address update the tracked word strongly;
+ * stores whose address interval merely overlaps it join their value
+ * in weakly; everything else is the ordinary register interval
+ * transfer (constant arithmetic delegated to evalAlu, decided
+ * branches pruned via the solver's edgeOut hook — DESIGN.md §5.4).
  *
  * Per qualifying load the pass derives a forwarding fact:
  *
@@ -30,12 +30,12 @@
  *  - No fact: some aliasing store's value could not be pinned to a
  *    constant, or the feasible set exceeds the report bound.
  *
- * Like specsafe, the analysis runs in two passes: the sequential
- * original program seeds register *and* memory boundary state at
- * every master restart point, so facts survive the loops fork sites
- * sit in. The claims are falsified dynamically: crossval replays the
- * merged image on SEQ and fails the gate on any Proven mismatch
- * (eval/crossval.hh, tests/test_valueflow_fuzz.cpp).
+ * The analysis runs in two passes: the sequential original program
+ * seeds memory boundary state at every master restart point, next
+ * to the register state MergedImageAnalysis seeds, so facts survive
+ * the loops fork sites sit in. The claims are falsified dynamically:
+ * crossval replays the merged image on SEQ and fails the gate on any
+ * Proven mismatch (eval/crossval.hh, tests/test_valueflow_fuzz.cpp).
  */
 
 #ifndef MSSP_ANALYSIS_VALUEFLOW_HH
@@ -96,12 +96,6 @@ struct ValueFlowResult
 
     /** Region-mask in-state per merged-image block leader. */
     std::map<uint32_t, RegionMask> blockRegions;
-
-    size_t provenFacts() const;
-    size_t likelyFacts() const;
-
-    /** The fact for the load at @p pc, or null. */
-    const LoadValueFact *factAt(uint32_t pc) const;
 };
 
 /** Feasible-set bound: loads with more reaching constants than this
@@ -109,12 +103,13 @@ struct ValueFlowResult
 constexpr size_t kMaxFeasibleValues = 8;
 
 /**
- * Run the value-flow analysis over @p orig + @p dist. @p classes is
- * the speculation-safety classification of the same image
- * (classifySpecLoads); only its invariant-class loads are eligible.
+ * Run the value-flow analysis over @p mia's merged image. @p classes
+ * is the speculation-safety classification of the same image
+ * (classifySpecLoads(mia)); only its invariant-class loads are
+ * eligible.
  */
 ValueFlowResult
-analyzeValueFlow(const Program &orig, const DistilledProgram &dist,
+analyzeValueFlow(const MergedImageAnalysis &mia,
                  const std::vector<LoadClassification> &classes);
 
 } // namespace mssp::analysis

@@ -57,6 +57,17 @@ lintCheckName(LintCheck check)
     return "?";
 }
 
+Cfg
+distilledCfg(const DistilledProgram &dist)
+{
+    std::vector<uint32_t> roots;
+    for (const auto &[o, dpc] : dist.entryMap)
+        roots.push_back(dpc);
+    for (const auto &[o, dpc] : dist.addrMap)
+        roots.push_back(dpc);
+    return Cfg::build(dist.prog, dist.prog.entry(), roots);
+}
+
 namespace
 {
 
@@ -102,20 +113,10 @@ struct Verify
 
     Verify(const Program &orig, const DistilledProgram &dist)
         : orig(orig), dist(dist),
-          origCfg(Cfg::build(orig, orig.entry()))
+          origCfg(Cfg::build(orig, orig.entry())),
+          distCfg(distilledCfg(dist))
     {
         origLive = computeLiveness(origCfg);
-
-        // Discovery roots: layout lowers calls to `loadimm ra; jal
-        // r0`, so call continuations are unreachable from the entry
-        // in a rebuilt CFG — seed them from the restart and addr
-        // maps the image carries.
-        std::vector<uint32_t> roots;
-        for (const auto &[o, dpc] : dist.entryMap)
-            roots.push_back(dpc);
-        for (const auto &[o, dpc] : dist.addrMap)
-            roots.push_back(dpc);
-        distCfg = Cfg::build(dist.prog, dist.prog.entry(), roots);
         graph = graphOfCfg(distCfg, starts);
     }
 
@@ -659,11 +660,8 @@ LintReport::toText() const
     return out;
 }
 
-namespace
-{
-
 std::string
-jsonEscape(const std::string &s)
+escapeReportJson(const std::string &s)
 {
     std::string out;
     for (char c : s) {
@@ -676,8 +674,6 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
-
-} // anonymous namespace
 
 std::string
 LintReport::toJson() const
@@ -710,7 +706,7 @@ LintReport::toJson() const
         else
             out += "\"pass\": null, ";
         out += strfmt("\"message\": \"%s\"}",
-                      jsonEscape(f.message).c_str());
+                      escapeReportJson(f.message).c_str());
     }
     out += "]}\n";
     return out;

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/alias.hh"
 #include "asm/program.hh"
 #include "distill/ir.hh"
 #include "profile/fork_select.hh"
@@ -35,6 +36,11 @@
 
 namespace mssp
 {
+
+namespace analysis
+{
+struct SpecPlanCandidate;   // analysis/specplan.hh
+} // namespace analysis
 
 /** Distiller tuning knobs (E8/E9 ablate these). */
 struct DistillerOptions
@@ -453,11 +459,24 @@ void runDistillPasses(DistillIr &ir, const ProfileData &profile,
                       const DistillerOptions &opts,
                       const Program &orig, DistillReport &report);
 
+/** The speculation plan finalizeDistilled() stamps, in the full form
+ *  distillSpeculated() picks its bakes from. */
+struct StampedPlan
+{
+    /** Candidates in rank order (benefit descending, PC ascending). */
+    std::vector<analysis::SpecPlanCandidate> candidates;
+    /** Fork-region in-state per merged-image block leader. */
+    std::map<uint32_t, analysis::RegionMask> blockRegions;
+};
+
 /** The metadata tail of distill(): stamp checkpoint masks, per-edit
  *  region/live-out metadata, load classes and the speculation plan
- *  onto the laid-out @p out. @p cfg is the original program's CFG. */
-void finalizeDistilled(DistilledProgram &out, const Program &orig,
-                       const Cfg &cfg);
+ *  onto the laid-out @p out, from one merged-image analysis. @p cfg
+ *  is the original program's CFG and @p origAi its abstract
+ *  interpretation. */
+StampedPlan finalizeDistilled(DistilledProgram &out,
+                              const Program &orig, const Cfg &cfg,
+                              const analysis::AbsintResult &origAi);
 
 } // namespace mssp
 

@@ -261,9 +261,9 @@ runDistillPasses(DistillIr &ir, const ProfileData &profile,
     }
 }
 
-void
+StampedPlan
 finalizeDistilled(DistilledProgram &out, const Program &orig,
-                  const Cfg &cfg)
+                  const Cfg &cfg, const analysis::AbsintResult &origAi)
 {
     // Checkpoint map: the register live-in mask of every task, from
     // the *original* program's liveness (the task runs original
@@ -297,20 +297,24 @@ finalizeDistilled(DistilledProgram &out, const Program &orig,
     // finished image (analysis/specsafe.hh) so consumers — the value
     // speculation planner, mssp-lint --specsafe, the crossval dynamic
     // gate — agree on one persisted classification.
-    for (const analysis::LoadClassification &c :
-         analysis::classifySpecLoads(orig, out)) {
+    analysis::MergedImageAnalysis mia(orig, cfg, origAi, out);
+    std::vector<analysis::LoadClassification> classes =
+        analysis::classifySpecLoads(mia);
+    for (const analysis::LoadClassification &c : classes)
         out.loadClasses[c.pc] = c.cls;
-    }
 
     // Speculation plan: the ranked value-speculation candidates from
-    // the value-flow analysis (analysis/specplan.hh), persisted in
-    // rank order. mssp-lint --plan revalidates them and crossval
-    // falsifies the Proven predictions dynamically.
+    // the value-flow analysis of those classes (analysis/specplan.hh),
+    // persisted in rank order. mssp-lint --plan revalidates them and
+    // crossval falsifies the Proven predictions dynamically.
+    analysis::ValueFlowResult vf = analysis::analyzeValueFlow(mia, classes);
+    StampedPlan plan;
+    plan.candidates = analysis::planSpeculation(out, vf);
+    plan.blockRegions = std::move(vf.blockRegions);
     out.specPlan.clear();
-    for (const analysis::SpecPlanCandidate &c :
-         analysis::planSpeculation(orig, out)) {
+    for (const analysis::SpecPlanCandidate &c : plan.candidates)
         out.specPlan.push_back(c.toEntry());
-    }
+    return plan;
 }
 
 DistilledProgram
@@ -336,7 +340,7 @@ distill(const Program &orig, const ProfileData &profile,
     passMarkForkSites(ir, sites, intervals, report);
 
     DistilledProgram out = layout(ir, report);
-    finalizeDistilled(out, orig, cfg);
+    finalizeDistilled(out, orig, cfg, analysis::analyzeProgram(orig, cfg));
     return out;
 }
 

@@ -26,8 +26,6 @@
 #include <algorithm>
 
 #include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
-#include "analysis/valueflow.hh"
 #include "distill/distiller.hh"
 #include "sim/logging.hh"
 
@@ -81,72 +79,71 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     }
     passMarkForkSites(ir, sites, intervals, report);
 
-    // The un-speculated baseline: its plan picks the candidates, its
-    // pcOrigin maps them back to original loads, its region masks
-    // decide which fork sites police each bake.
-    DistilledProgram base = layout(ir, report);
-    finalizeDistilled(base, orig, cfg);
-
-    std::vector<analysis::SpecPlanCandidate> cands =
-        analysis::planSpeculation(orig, base);
+    // One original-program abstract interpretation serves both
+    // finalizations.
+    analysis::AbsintResult origAi = analysis::analyzeProgram(orig, cfg);
 
     std::vector<uint32_t> dropped = sopts.despeculated;
     std::sort(dropped.begin(), dropped.end());
     dropped.erase(std::unique(dropped.begin(), dropped.end()),
                   dropped.end());
 
-    // Fork-region in-state at every fork site's distilled block: a
-    // site polices a bake when the regions the load executes in can
-    // flow into the site's FORK, i.e. when the site's verify task is
-    // the one that squashes on a wrong prediction.
-    analysis::ValueFlowResult vf = analysis::analyzeValueFlow(
-        orig, base, analysis::classifySpecLoads(orig, base));
-
+    // The un-speculated baseline: its plan picks the candidates, its
+    // pcOrigin maps them back to original loads, and its fork-region
+    // in-states decide which fork sites police each bake — a site
+    // polices a bake when the regions the load executes in can flow
+    // into the site's FORK, i.e. when the site's verify task is the
+    // one that squashes on a wrong prediction. The baseline is
+    // released before the speculated image is finalized.
     std::vector<SpecEdit> edits;
-    for (const analysis::SpecPlanCandidate &c : cands) {
-        if (c.proof == ValueProof::Likely &&
-            (!sopts.bakeLikely ||
-             c.benefitMicro < sopts.minLikelyBenefitMicro)) {
-            continue;
-        }
-        auto oit = base.pcOrigin.find(c.pc);
-        if (oit == base.pcOrigin.end())
-            continue;
-        uint32_t orig_pc = oit->second;
-        if (std::binary_search(dropped.begin(), dropped.end(),
-                               orig_pc)) {
-            continue;
-        }
-        IrInst *load = findLoad(ir, orig_pc);
-        if (!load)
-            continue;
-        uint8_t rd = load->inst.rd;
-        *load = IrInst::loadImm(rd, c.value, orig_pc);
-        ++report.loadsValueSpeced;
-        report.edits.push_back({DistillEdit::Pass::ValueSpec, orig_pc,
-                                rd, true, c.value});
-
-        SpecEdit e;
-        e.origPc = orig_pc;
-        e.reg = rd;
-        e.addr = c.addr;
-        e.proof = c.proof;
-        e.value = c.value;
-        e.benefitMicro = c.benefitMicro;
-        for (uint32_t site : base.taskMap) {
-            auto ep = base.entryMap.find(site);
-            if (ep == base.entryMap.end())
+    {
+        DistilledProgram base = layout(ir, report);
+        StampedPlan plan = finalizeDistilled(base, orig, cfg, origAi);
+        for (const analysis::SpecPlanCandidate &c : plan.candidates) {
+            if (c.proof == ValueProof::Likely &&
+                (!sopts.bakeLikely ||
+                 c.benefitMicro < sopts.minLikelyBenefitMicro)) {
                 continue;
-            auto rit = vf.blockRegions.find(ep->second);
-            if (rit != vf.blockRegions.end() &&
-                analysis::regionsIntersect(rit->second, c.regions)) {
-                e.policedBy.push_back(site);
             }
+            auto oit = base.pcOrigin.find(c.pc);
+            if (oit == base.pcOrigin.end())
+                continue;
+            uint32_t orig_pc = oit->second;
+            if (std::binary_search(dropped.begin(), dropped.end(),
+                                   orig_pc)) {
+                continue;
+            }
+            IrInst *load = findLoad(ir, orig_pc);
+            if (!load)
+                continue;
+            uint8_t rd = load->inst.rd;
+            *load = IrInst::loadImm(rd, c.value, orig_pc);
+            ++report.loadsValueSpeced;
+            report.edits.push_back({DistillEdit::Pass::ValueSpec, orig_pc,
+                                    rd, true, c.value});
+
+            SpecEdit e;
+            e.origPc = orig_pc;
+            e.reg = rd;
+            e.addr = c.addr;
+            e.proof = c.proof;
+            e.value = c.value;
+            e.benefitMicro = c.benefitMicro;
+            for (uint32_t site : base.taskMap) {
+                auto ep = base.entryMap.find(site);
+                if (ep == base.entryMap.end())
+                    continue;
+                auto rit = plan.blockRegions.find(ep->second);
+                if (rit != plan.blockRegions.end() &&
+                    analysis::regionsIntersect(rit->second, c.regions)) {
+                    e.policedBy.push_back(site);
+                }
+            }
+            if (e.policedBy.empty())
+                e.policedBy = base.taskMap;   // conservative: all sites
+            std::sort(e.policedBy.begin(), e.policedBy.end());
+            edits.push_back(std::move(e));
         }
-        if (e.policedBy.empty())
-            e.policedBy = base.taskMap;   // conservative: all sites
-        std::sort(e.policedBy.begin(), e.policedBy.end());
-        edits.push_back(std::move(e));
     }
 
     if (!edits.empty()) {
@@ -162,7 +159,7 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     }
 
     DistilledProgram out = layout(ir, report);
-    finalizeDistilled(out, orig, cfg);
+    finalizeDistilled(out, orig, cfg, origAi);
 
     // Locate each baked constant in the final image; an edit whose
     // load-immediate was itself folded away (its register became

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 
+#include "analysis/merged_image.hh"
 #include "analysis/verifier.hh"
 #include "asm/assembler.hh"
 #include "core/pipeline.hh"

@@ -25,6 +25,7 @@ namespace
 {
 
 using analysis::LoadClassification;
+using analysis::MergedImageAnalysis;
 using analysis::SpecSafeReport;
 using analysis::analyzeSpecSafe;
 using analysis::classifySpecLoads;
@@ -40,6 +41,16 @@ distillExact(const Program &prog, std::vector<uint32_t> sites = {})
     opts.biasThreshold = 2.0;
     opts.explicitForkSites = std::move(sites);
     return distill(prog, prof, opts);
+}
+
+/** classifySpecLoads over a fresh merged-image analysis of @p prog
+ *  and @p dist. */
+std::vector<LoadClassification>
+classify(const Program &prog, const DistilledProgram &dist)
+{
+    Cfg cfg = Cfg::build(prog, prog.entry());
+    analysis::AbsintResult ai = analysis::analyzeProgram(prog, cfg);
+    return classifySpecLoads(MergedImageAnalysis(prog, cfg, ai, dist));
 }
 
 /** The classification of the (unique) load whose abstract address is
@@ -65,7 +76,7 @@ TEST(SpecSafe, LoadWithNoAliasingStoreIsProvablyInvariant)
                             ".org 0x2000\n"
                             "cell: .word 7\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
     const LoadClassification *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::ProvablyInvariant);
@@ -86,7 +97,7 @@ TEST(SpecSafe, KnownAliasingStoreInSharedRegionIsRisky)
                             ".org 0x2000\n"
                             "cell: .word 7\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
     const LoadClassification *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::Risky);
@@ -119,7 +130,7 @@ TEST(SpecSafe, OffByOneIntervalOverlap)
                             ".org 0x2000\n"
                             "data: .word 11, 22, 33, 44\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
 
     const LoadClassification *below = loadAt(loads, 0x2000);
     ASSERT_NE(below, nullptr);
@@ -161,7 +172,7 @@ TEST(SpecSafe, CrossForkStoreIsRegionInvariant)
     uint32_t loop_b = 0;
     ASSERT_TRUE(prog.lookupSymbol("loopB", loop_b));
     DistilledProgram dist = distillExact(prog, {loop_b});
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
     const LoadClassification *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::RegionInvariant) << c->detail;
@@ -176,7 +187,7 @@ TEST(SpecSafe, EveryStaticLoadIsClassified)
     Program prog = assemble(test::biasedSumSource(150, 3));
     PreparedWorkload w = prepare(prog, prog,
                                  DistillerOptions::paperPreset());
-    auto loads = classifySpecLoads(w.orig, w.dist);
+    auto loads = classify(w.orig, w.dist);
     size_t static_loads = 0;
     for (const auto &[addr, word] : w.dist.prog.image()) {
         if (!isLoad(decode(word).op))
@@ -274,7 +285,7 @@ TEST(SpecSafeDynamic, ProvablyInvariantLoadsNeverChangeValue)
     Program prog = assemble(test::biasedSumSource(150, 3));
     PreparedWorkload w = prepare(prog, prog,
                                  DistillerOptions::paperPreset());
-    auto loads = classifySpecLoads(w.orig, w.dist);
+    auto loads = classify(w.orig, w.dist);
     SpecSafeDynamicResult dyn =
         validateSpecSafeDynamic(w.orig, w.dist, loads);
     EXPECT_EQ(dyn.valueChanges, 0u) << dyn.firstViolation;
@@ -299,7 +310,7 @@ TEST(SpecSafeDynamic, FalsePromotionIsCaughtAtRuntime)
                             ".org 0x2000\n"
                             "cell: .word 0\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
     LoadClassification *counter = nullptr;
     for (LoadClassification &c : loads) {
         if (c.addr.isConst() && c.addr.cval() == 0x2000)

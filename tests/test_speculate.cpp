@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/specplan.hh"
 #include "analysis/verifier.hh"
 #include "asm/objfile.hh"
 #include "eval/crossval.hh"
@@ -114,13 +115,26 @@ TEST(Speculate, V5RoundTripPreservesEverySpecField)
 
 TEST(Speculate, SpeculatedImagePassesEveryStaticValidator)
 {
-    Speculated s = speculateWorkload("vortex");
-    analysis::LintReport rep =
-        analysis::verifyDistilled(s.w.orig, s.spec);
-    EXPECT_EQ(rep.errors(), 0u) << rep.toText();
-    analysis::SemanticResult sem =
-        analysis::verifyDistilledSemantic(s.w.orig, s.spec);
-    EXPECT_EQ(sem.lint.errors(), 0u) << sem.lint.toText();
+    // The speculated image's persisted load classes and plan must be
+    // its own, recomputed from scratch — not the un-speculated base
+    // image's, whose analysis distillSpeculated() reuses to pick the
+    // bakes.
+    for (const Workload &wl : specAnalogues(0.05)) {
+        SCOPED_TRACE(wl.name);
+        Speculated s = speculateWorkload(wl.name);
+        analysis::LintReport rep =
+            analysis::verifyDistilled(s.w.orig, s.spec);
+        EXPECT_EQ(rep.errors(), 0u) << rep.toText();
+        analysis::SemanticResult sem =
+            analysis::verifyDistilledSemantic(s.w.orig, s.spec);
+        EXPECT_EQ(sem.lint.errors(), 0u) << sem.lint.toText();
+        analysis::SpecSafeReport safe =
+            analysis::analyzeSpecSafe(s.w.orig, s.spec);
+        EXPECT_EQ(safe.lint.errors(), 0u) << safe.lint.toText();
+        analysis::SpecPlanReport plan =
+            analysis::analyzeSpecPlan(s.w.orig, s.spec);
+        EXPECT_EQ(plan.lint.errors(), 0u) << plan.lint.toText();
+    }
 }
 
 TEST(Speculate, TamperedSpecEditValueIsCaughtStaticallyAndAtRuntime)

@@ -27,6 +27,7 @@ namespace
 {
 
 using analysis::LoadValueFact;
+using analysis::MergedImageAnalysis;
 using analysis::SpecPlanCandidate;
 using analysis::SpecPlanReport;
 using analysis::ValueFlowResult;
@@ -50,8 +51,10 @@ distillExact(const Program &prog, std::vector<uint32_t> sites = {})
 ValueFlowResult
 valueFlowOf(const Program &prog, const DistilledProgram &dist)
 {
-    return analyzeValueFlow(prog, dist,
-                            classifySpecLoads(prog, dist));
+    Cfg cfg = Cfg::build(prog, prog.entry());
+    analysis::AbsintResult ai = analysis::analyzeProgram(prog, cfg);
+    MergedImageAnalysis mia(prog, cfg, ai, dist);
+    return analyzeValueFlow(mia, classifySpecLoads(mia));
 }
 
 /** The fact for the (unique) load reading constant @p addr. */
@@ -126,8 +129,7 @@ TEST(ValueFlow, StoreToLoadForwardingBeatsTheImageWord)
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
 
-    auto classes = classifySpecLoads(prog, dist);
-    ValueFlowResult vf = analyzeValueFlow(prog, dist, classes);
+    ValueFlowResult vf = valueFlowOf(prog, dist);
     const LoadValueFact *f = factForAddr(vf, 0x2000);
     ASSERT_NE(f, nullptr);
     EXPECT_EQ(f->cls, LoadSpecClass::RegionInvariant);
@@ -196,7 +198,8 @@ TEST(SpecPlan, ProvenOutranksLikelyAndOrderIsByBenefit)
                             ".org 0x2100\n"
                             "other: .word 9\n");
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan =
+        planSpeculation(dist, valueFlowOf(prog, dist));
     ASSERT_EQ(plan.size(), 2u);
     EXPECT_EQ(plan[0].proof, ValueProof::Proven);
     EXPECT_EQ(plan[0].addr, 0x2100u);
@@ -284,7 +287,8 @@ TEST(SpecPlanDynamic, ProvenPredictionsMatchTheReplay)
 {
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan =
+        planSpeculation(dist, valueFlowOf(prog, dist));
     ASSERT_FALSE(plan.empty());
     SpecPlanDynamicResult dyn =
         validateSpecPlanDynamic(prog, dist, plan);
@@ -299,7 +303,8 @@ TEST(SpecPlanDynamic, FalsePredictionIsCaughtAtRuntime)
 {
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan =
+        planSpeculation(dist, valueFlowOf(prog, dist));
     ASSERT_FALSE(plan.empty());
     ASSERT_EQ(plan[0].proof, ValueProof::Proven);
     plan[0].value ^= 1;  // the lie
@@ -331,7 +336,8 @@ TEST(SpecPlanDynamic, LikelyCandidatesAccumulateHitRates)
                             ".org 0x2000\n"
                             "data: .word 5\n");
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan =
+        planSpeculation(dist, valueFlowOf(prog, dist));
     ASSERT_FALSE(plan.empty());
     ASSERT_EQ(plan[0].proof, ValueProof::Likely);
     SpecPlanDynamicResult dyn =
