@@ -41,8 +41,9 @@ BM_SeqInterpreter(benchmark::State &state, BackendKind backend)
         // Time run() only: machine construction (program load into
         // paged memory) and teardown are identical fixed costs on
         // every tier and would dilute the interpreter comparison.
-        // Each iteration still starts from a cold machine, so T2's
-        // training and compile passes stay inside the timed region.
+        // Each iteration still starts from a cold machine, so the
+        // blockjit tier's training and compile passes stay inside the
+        // timed region.
         state.PauseTiming();
         auto m = std::make_unique<SeqMachine>(prog);
         m->setBackend(backend);
@@ -57,13 +58,12 @@ BM_SeqInterpreter(benchmark::State &state, BackendKind backend)
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
     // Deterministic simulation outputs (per run, not per batch).
-    // sim_insts must be byte-identical across the three tiers: the
+    // sim_insts must be byte-identical across the two tiers: the
     // backends execute the same architectural instruction stream
     // (bench_compare.py gates on it).
     state.counters["sim_insts"] = static_cast<double>(per_run);
 }
 BENCHMARK_CAPTURE(BM_SeqInterpreter, ref, BackendKind::Ref);
-BENCHMARK_CAPTURE(BM_SeqInterpreter, threaded, BackendKind::Threaded);
 BENCHMARK_CAPTURE(BM_SeqInterpreter, blockjit, BackendKind::BlockJit);
 
 void

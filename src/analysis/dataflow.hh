@@ -3,8 +3,8 @@
  * Generalized iterative dataflow solver.
  *
  * One fixed-point engine serves every flow problem in the repo —
- * liveness (backward/may), defined-registers (forward/may-uninit),
- * reaching definitions (forward/may) — replacing the hand-rolled
+ * liveness (backward/may), defined-registers (forward/may-uninit)
+ * — replacing the hand-rolled
  * `while (changed)` loops that used to live in cfg.cc and ir.cc.
  *
  * A problem is a *domain* type D providing:

@@ -45,7 +45,7 @@ class ArchState
     }
 
     /**
-     * Raw register storage for trusted hot loops (the T2 chain
+     * Raw register storage for trusted hot loops (the blockjit chain
      * executor). Slot 0 is pinned to zero — zero-filled at
      * construction and never written by writeReg — so reads may index
      * it unguarded; callers must never store through index 0.

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "exec/blockjit.hh"
-#include "exec/threaded.hh"
 #include "sim/logging.hh"
 
 namespace mssp
@@ -14,7 +12,6 @@ backendName(BackendKind kind)
 {
     switch (kind) {
       case BackendKind::Ref:      return "ref";
-      case BackendKind::Threaded: return "threaded";
       case BackendKind::BlockJit: return "blockjit";
     }
     return "?";
@@ -25,39 +22,9 @@ backendFromName(const std::string &name)
 {
     if (name == "ref")
         return BackendKind::Ref;
-    if (name == "threaded")
-        return BackendKind::Threaded;
     if (name == "blockjit")
         return BackendKind::BlockJit;
     return std::nullopt;
-}
-
-bool
-backendAvailable(BackendKind kind)
-{
-    return kind != BackendKind::Threaded || MSSP_HAS_COMPUTED_GOTO;
-}
-
-BackendKind
-resolveBackendFor(BackendKind wanted, bool threaded_available)
-{
-    if (wanted == BackendKind::Threaded && !threaded_available)
-        return BackendKind::Ref;
-    return wanted;
-}
-
-BackendKind
-resolveBackend(BackendKind wanted)
-{
-    return resolveBackendFor(wanted, MSSP_HAS_COMPUTED_GOTO);
-}
-
-BackendKind
-resolveHookedBackend(BackendKind wanted)
-{
-    if (wanted == BackendKind::BlockJit)
-        wanted = BackendKind::Threaded;
-    return resolveBackend(wanted);
 }
 
 namespace
@@ -71,8 +38,8 @@ backendFromEnv()
         return BackendKind::Ref;
     if (auto kind = backendFromName(env))
         return *kind;
-    warn("MSSP_EXEC_BACKEND=%s is not a backend "
-         "(ref|threaded|blockjit); using ref", env);
+    warn("MSSP_EXEC_BACKEND=%s is not a backend (ref|blockjit); "
+         "using ref", env);
     return BackendKind::Ref;
 }
 
@@ -92,81 +59,6 @@ void
 setDefaultBackend(BackendKind kind)
 {
     g_default_backend = kind;
-}
-
-namespace
-{
-
-class RefBackend final : public ExecBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::Ref; }
-    const char *name() const override { return "ref"; }
-    bool available() const override { return true; }
-    unsigned capabilities() const override { return CapPerStepHook; }
-
-    EngineResult
-    run(DecodeCache &dc, uint32_t pc, uint64_t max_steps,
-        ExecContext &ctx) const override
-    {
-        return runRefEngine(dc, pc, max_steps, ctx);
-    }
-};
-
-class ThreadedBackend final : public ExecBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::Threaded; }
-    const char *name() const override { return "threaded"; }
-    bool available() const override { return MSSP_HAS_COMPUTED_GOTO; }
-    unsigned capabilities() const override { return CapPerStepHook; }
-
-    EngineResult
-    run(DecodeCache &dc, uint32_t pc, uint64_t max_steps,
-        ExecContext &ctx) const override
-    {
-        return runThreadedEngine(dc, pc, max_steps, ctx);
-    }
-};
-
-class BlockJitBackend final : public ExecBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::BlockJit; }
-    const char *name() const override { return "blockjit"; }
-    bool available() const override { return true; }
-    unsigned capabilities() const override { return CapBlockCompile; }
-
-    EngineResult
-    run(DecodeCache &dc, uint32_t pc, uint64_t max_steps,
-        ExecContext &ctx) const override
-    {
-        // The type-erased path gets a run-scoped block cache; hot
-        // loops hold a persistent BlockJit instead (runOnBackend).
-        BlockJit jit(dc);
-        return jit.run(pc, max_steps, ctx);
-    }
-};
-
-const RefBackend g_ref;
-const ThreadedBackend g_threaded;
-const BlockJitBackend g_blockjit;
-const ExecBackend *const g_backends[NumBackends] = {
-    &g_ref, &g_threaded, &g_blockjit,
-};
-
-} // anonymous namespace
-
-const ExecBackend &
-backend(BackendKind kind)
-{
-    return *g_backends[static_cast<size_t>(kind)];
-}
-
-const ExecBackend *const *
-allBackends()
-{
-    return g_backends;
 }
 
 } // namespace mssp

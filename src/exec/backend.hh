@@ -2,23 +2,17 @@
  * @file
  * Tiered execution backends.
  *
- * Every machine in the system retires instructions through one of
- * three interchangeable execution tiers:
+ * Every machine in the system retires instructions through an engine
+ * call. Two interchangeable execution tiers implement it:
  *
- *  - **T0 `ref`** — the template interpreter (`executeDecodedOn`'s
+ *  - **`ref`** — the template interpreter (`executeDecodedOn`'s
  *    switch). It is the semantic oracle: the single implementation of
- *    μRISC semantics every faster tier is differentially checked
+ *    μRISC semantics the faster tier is differentially checked
  *    against (tests/test_backend_fuzz.cpp).
- *  - **T1 `threaded`** — a computed-goto threaded-dispatch
- *    interpreter (exec/threaded.hh) that executes straight out of the
- *    predecode cache's decoded pages. Requires the GNU `&&label`
- *    extension; when `MSSP_HAS_COMPUTED_GOTO` is off it silently
- *    degrades to T0.
- *  - **T2 `blockjit`** — a block-compiling tier (exec/blockjit.hh)
+ *  - **`blockjit`** — a block-compiling tier (exec/blockjit.hh)
  *    that turns hot decoded basic blocks into chains of
  *    pre-specialized superinstructions, deopting to per-instruction
- *    stepping at cold code, budget tails, faults and (for machines
- *    with per-step obligations) everywhere — see capabilities below.
+ *    stepping at cold code, budget tails and faults.
  *
  * The tiers share one engine contract so their architectural effects
  * are bit-identical by construction:
@@ -26,22 +20,23 @@
  *  - The engine runs from a DecodeCache at a starting pc for at most
  *    `maxSteps` *retired* instructions against a Ctx (any
  *    ExecContext-shaped class; `final` classes devirtualize).
- *  - An optional per-step Hook observes/steers execution:
- *    `preStep(pc, inst) -> bool` runs before the instruction (false =
- *    stop without executing it); `postStep(pc, res) -> StepVerdict`
- *    runs after it and may Continue, Stop (retire, apply nextPc, then
- *    stop), or Discard (un-retire the step: pc does not advance —
- *    the slaves' MMIO-abort and the master's Jalr-translation-fault
- *    semantics). postStep receives the StepResult *mutable* so hooks
- *    may redirect nextPc (the master's distilled-address
- *    translation).
  *  - Halting and faulting stop the engine with the pc pinned at the
  *    halt/fault instruction; a faulting attempt does not retire.
  *
- * Hook support is a *capability*: T2 executes whole blocks with no
- * per-instruction boundary, so consumers that need a hook are
- * resolved down to T1 (resolveHookedBackend). The NullHook fast path
- * compiles all hook plumbing out.
+ * Only the reference engine takes a per-step Hook, which observes and
+ * steers execution: `preStep(pc, inst) -> bool` runs before the
+ * instruction (false = stop without executing it); `postStep(pc, res)
+ * -> StepVerdict` runs after it and may Continue, Stop (retire, apply
+ * nextPc, then stop), or Discard (un-retire the step: pc does not
+ * advance — the slaves' MMIO-abort and the master's
+ * Jalr-translation-fault semantics). postStep receives the StepResult
+ * *mutable* so hooks may redirect nextPc (the master's
+ * distilled-address translation). Every hooked consumer (master
+ * slices, slave tasks, the Seq fallback, the profiler) runs on ref:
+ * at the paper's default IPC of 1.0 each hooked call retires one
+ * instruction, so a faster dispatch loop has nothing to speed up.
+ * The tier choice applies to the unhooked SeqMachine only. The
+ * NullHook fast path compiles all hook plumbing out.
  */
 
 #ifndef MSSP_EXEC_BACKEND_HH
@@ -55,24 +50,14 @@
 #include "exec/decode_cache.hh"
 #include "exec/executor.hh"
 
-// The computed-goto tier needs the GNU address-of-label extension.
-// -DMSSP_NO_COMPUTED_GOTO forces the portable fallback (CI builds it
-// to prove the degraded path stays green).
-#if !defined(MSSP_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define MSSP_HAS_COMPUTED_GOTO 1
-#else
-#define MSSP_HAS_COMPUTED_GOTO 0
-#endif
-
 namespace mssp
 {
 
 /** The selectable execution tiers. */
 enum class BackendKind : uint8_t
 {
-    Ref,       ///< T0: template-interpreter oracle
-    Threaded,  ///< T1: computed-goto threaded dispatch
-    BlockJit,  ///< T2: superinstruction block compiler
+    Ref,       ///< template-interpreter oracle
+    BlockJit,  ///< superinstruction block compiler
 };
 
 /** Hook verdict after an executed step. */
@@ -110,9 +95,9 @@ struct EngineResult
 };
 
 /**
- * T0: the reference engine. One canonical loop around
- * executeDecodedOn — this *is* the semantics; the faster tiers are
- * checked against it.
+ * The reference engine. One canonical loop around
+ * executeDecodedOn — this *is* the semantics; blockjit is checked
+ * against it.
  */
 template <class Ctx, class Hook = NullHook>
 inline EngineResult
@@ -156,38 +141,11 @@ runRefEngine(DecodeCache &dc, uint32_t pc, uint64_t max_steps, Ctx &ctx,
     return r;
 }
 
-/** Stable tier name ("ref" / "threaded" / "blockjit"). */
+/** Stable tier name ("ref" / "blockjit"). */
 const char *backendName(BackendKind kind);
 
 /** Parse a tier name; nullopt for unknown names. */
 std::optional<BackendKind> backendFromName(const std::string &name);
-
-/** @return true when @p kind can execute on this build (T1 needs
- *  computed goto; T0/T2 always can — T2's gaps step via T1/T0). */
-bool backendAvailable(BackendKind kind);
-
-/** Capability bits (ExecBackend::capabilities). */
-enum : unsigned
-{
-    /** Tier honors per-step hooks (pre/postStep at every retire). */
-    CapPerStepHook = 1u << 0,
-    /** Tier compiles/caches multi-instruction blocks. */
-    CapBlockCompile = 1u << 1,
-};
-
-/**
- * Availability fallback, with the availability predicate injected so
- * the degraded path is unit-testable on builds that *do* have
- * computed goto: an unavailable tier degrades Threaded -> Ref.
- */
-BackendKind resolveBackendFor(BackendKind wanted, bool threaded_available);
-
-/** Availability fallback for this build. */
-BackendKind resolveBackend(BackendKind wanted);
-
-/** Fallback for consumers that need per-step hooks: BlockJit ->
- *  Threaded (then availability fallback as above). */
-BackendKind resolveHookedBackend(BackendKind wanted);
 
 /**
  * The process-wide default tier. Initialized once from the
@@ -198,39 +156,8 @@ BackendKind resolveHookedBackend(BackendKind wanted);
 BackendKind defaultBackend();
 
 /** Override the process-wide default tier (call before spawning
- *  worker threads; machines snapshot it at construction). */
+ *  worker threads; SeqMachines snapshot it at construction). */
 void setDefaultBackend(BackendKind kind);
-
-/**
- * Type-erased tier handle for tools/tests: run any ExecContext on any
- * tier by name. Hot loops do not go through this interface — they
- * instantiate the engine templates directly against their `final`
- * context types (runOnBackend in exec/blockjit.hh).
- */
-class ExecBackend
-{
-  public:
-    virtual ~ExecBackend() = default;
-
-    virtual BackendKind kind() const = 0;
-    /** Stable selection name. */
-    virtual const char *name() const = 0;
-    /** True when this tier can execute on this build. */
-    virtual bool available() const = 0;
-    /** Cap* bitmask. */
-    virtual unsigned capabilities() const = 0;
-
-    /** Run up to @p max_steps retired instructions from @p pc. */
-    virtual EngineResult run(DecodeCache &dc, uint32_t pc,
-                             uint64_t max_steps, ExecContext &ctx) const = 0;
-};
-
-/** The registered tier singletons, in BackendKind order. */
-const ExecBackend &backend(BackendKind kind);
-
-/** All registered tiers (T0, T1, T2). */
-constexpr unsigned NumBackends = 3;
-const ExecBackend *const *allBackends();
 
 } // namespace mssp
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * T2 `blockjit`: superinstruction block-compiling engine.
+ * `blockjit`: superinstruction block-compiling engine.
  *
  * The predecode cache's hit counters (kept here, per block leader)
  * pick hot decoded regions; each is "compiled" once into a chain of
@@ -38,10 +38,10 @@
  * code, when the remaining retire budget is smaller than a block, and
  * at anything a block cannot contain — faults (Illegal never compiles
  * into a block) and MMIO (device accesses go through the same
- * ctx.readMem/writeMem as every tier, so MMIO *correctness* is the
- * context's; machines that must react per-step, e.g. the slaves'
- * MMIO abort, use hooks and therefore never select T2 — see
- * resolveHookedBackend).
+ * ctx.readMem/writeMem as the reference tier, so MMIO *correctness*
+ * is the context's). The engine takes no per-step hook: machines that
+ * must react per step, e.g. the slaves' MMIO abort, run on the
+ * reference engine.
  *
  * Self-modification safety: the cache watches its DecodeCache's
  * version counter and drops every compiled block — and with them all
@@ -59,7 +59,15 @@
 #include <vector>
 
 #include "exec/backend.hh"
-#include "exec/threaded.hh"
+
+// The chain executor's threaded dispatch needs the GNU address-of-label
+// extension. -DMSSP_NO_COMPUTED_GOTO forces the portable fallback (CI
+// builds it to prove the degraded path stays green).
+#if !defined(MSSP_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
+#define MSSP_HAS_COMPUTED_GOTO 1
+#else
+#define MSSP_HAS_COMPUTED_GOTO 0
+#endif
 
 namespace mssp
 {
@@ -95,8 +103,8 @@ class BlockJit
     BlockJit(const BlockJit &) = delete;
     BlockJit &operator=(const BlockJit &) = delete;
 
-    /** Engine entry point; same contract as runRefEngine (hookless —
-     *  hooked consumers resolve to T1 before getting here). */
+    /** Engine entry point; same contract as runRefEngine, without
+     *  the hook. */
     template <class Ctx>
     EngineResult run(uint32_t pc, uint64_t max_steps, Ctx &ctx);
 
@@ -442,9 +450,9 @@ BlockJit::execChain(Block *b, Ctx &ctx, uint64_t budget)
     const Terminator *t = &b->term;
     goto *ktab[static_cast<size_t>(m->kind)];
 
-// Each handler dispatches its successor itself (threaded dispatch, as
-// in exec/threaded.hh): the indirect branches are distributed, so the
-// BTB learns the block's actual micro-op sequence.
+// Each handler dispatches its successor itself (threaded dispatch):
+// the indirect branches are distributed, so the BTB learns the
+// block's actual micro-op sequence.
 #define MSSP_T2_NEXT                                                  \
     do {                                                              \
         ++m;                                                          \
@@ -739,29 +747,6 @@ BlockJit::run(uint32_t pc, uint64_t max_steps, Ctx &ctx)
     }
     r.pc = pc;
     return r;
-}
-
-/**
- * Run @p ctx on the selected tier. The one dispatch point every
- * hot-loop consumer shares: T0/T1 need no state beyond the decode
- * cache; T2 needs its per-cache BlockJit (@p jit may be null, which
- * degrades BlockJit to Threaded). Hooked consumers must pre-resolve
- * with resolveHookedBackend (T2 takes no hooks); passing a non-null
- * hook here with BlockJit selected degrades to Threaded as well.
- */
-template <class Ctx, class Hook = NullHook>
-inline EngineResult
-runOnBackend(BackendKind kind, DecodeCache &dc, uint32_t pc,
-             uint64_t max_steps, Ctx &ctx, BlockJit *jit = nullptr,
-             Hook &&hook = {})
-{
-    if (kind == BackendKind::BlockJit && jit != nullptr &&
-        !kHookedEngine<Hook>) {
-        return jit->run(pc, max_steps, ctx);
-    }
-    if (kind == BackendKind::Ref)
-        return runRefEngine(dc, pc, max_steps, ctx, hook);
-    return runThreadedEngine(dc, pc, max_steps, ctx, hook);
 }
 
 } // namespace mssp

@@ -27,12 +27,6 @@ SeqMachine::SeqMachine(const Program &prog)
 SeqMachine::~SeqMachine() = default;
 
 void
-SeqMachine::setBackend(BackendKind kind)
-{
-    backend_ = resolveBackend(kind);
-}
-
-void
 SeqMachine::applyStep(const StepResult &res)
 {
     switch (res.status) {
@@ -81,12 +75,16 @@ SeqMachine::runLoop(uint64_t max_insts)
     } else if (!halted_ && !faulted_) {
         // Hot path: the selected execution tier runs with pc and
         // retirement in locals; storage accesses devirtualize
-        // (SeqMachine is final). All tiers are architecturally
+        // (SeqMachine is final). Both tiers are architecturally
         // interchangeable here (tests/test_backend_fuzz.cpp).
-        if (backend_ == BackendKind::BlockJit && !jit_)
-            jit_ = std::make_unique<BlockJit>(decode_);
-        EngineResult er = runOnBackend(backend_, decode_, state_.pc(),
-                                       max_insts, *this, jit_.get());
+        EngineResult er;
+        if (backend_ == BackendKind::BlockJit) {
+            if (!jit_)
+                jit_ = std::make_unique<BlockJit>(decode_);
+            er = jit_->run(state_.pc(), max_insts, *this);
+        } else {
+            er = runRefEngine(decode_, state_.pc(), max_insts, *this);
+        }
         halted_ = er.status == StepStatus::Halted;
         faulted_ = er.status == StepStatus::Illegal;
         state_.setPc(er.pc);

@@ -45,7 +45,7 @@ struct SeqRunResult
 class SeqMachine final : public ExecContext
 {
   public:
-    /** Per-instruction observation hook (profiling, tracing). */
+    /** Per-instruction observation hook (crossval's watchers). */
     class Observer
     {
       public:
@@ -77,11 +77,8 @@ class SeqMachine final : public ExecContext
           backend_(other.backend_)
     {}
 
-    /** Select the execution tier (resolved for availability). */
-    void setBackend(BackendKind kind);
-
-    /** The tier run() executes on (after availability fallback). */
-    BackendKind backendKind() const { return backend_; }
+    /** Select the execution tier. */
+    void setBackend(BackendKind kind) { backend_ = kind; }
 
     /** The block cache, when the blockjit tier has run (tests). */
     const BlockJit *blockJit() const { return jit_.get(); }
@@ -120,7 +117,7 @@ class SeqMachine final : public ExecContext
     const DecodeCache &decodeCache() const { return decode_; }
 
     // -- ExecContext ------------------------------------------------------
-    /** Raw register storage (see ArchState::rawRegs): lets the T2
+    /** Raw register storage (see ArchState::rawRegs): lets the blockjit
      *  chain executor skip the r0 guards its compiler enforces. */
     uint32_t *rawRegs() { return state_.rawRegs(); }
 
@@ -170,7 +167,7 @@ class SeqMachine final : public ExecContext
     uint64_t inst_count_ = 0;
     bool halted_ = false;
     bool faulted_ = false;
-    BackendKind backend_ = resolveBackend(defaultBackend());
+    BackendKind backend_ = defaultBackend();
     std::unique_ptr<BlockJit> jit_;  ///< lazy; only on the blockjit tier
 };
 

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "arch/state_delta.hh"
-#include "sim/event_queue.hh"
+#include "sim/cycle.hh"
 #include "sim/rng.hh"
 
 namespace mssp

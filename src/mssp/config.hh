@@ -9,9 +9,8 @@
 #include <cstdint>
 #include <string>
 
-#include "exec/backend.hh"
 #include "mem/cache.hh"
-#include "sim/event_queue.hh"
+#include "sim/cycle.hh"
 
 namespace mssp
 {
@@ -21,13 +20,6 @@ struct MsspConfig
 {
     /** Number of slave processors. */
     unsigned numSlaves = 8;
-
-    /** Execution tier for every core (exec/backend.hh). Per-step
-     *  obligations (fork gating, MMIO aborts, IPC budgets) resolve
-     *  blockjit down to threaded on the cores that need them; the
-     *  architectural result is backend-invariant either way
-     *  (tests/test_backend_fuzz.cpp). */
-    BackendKind execBackend = defaultBackend();
 
     /** Maximum in-flight (uncommitted) tasks, including running. */
     unsigned maxInFlightTasks = 16;

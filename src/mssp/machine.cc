@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/blockjit.hh"
 #include "exec/executor.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
@@ -80,7 +79,6 @@ MsspMachine::MsspMachine(const Program &orig,
 {
     arch_.loadProgram(orig_);
     master_.setForkInterval(cfg_.forkInterval);
-    master_.setBackend(cfg_.execBackend);
     slaves_.reserve(cfg_.numSlaves);
     for (unsigned i = 0; i < cfg_.numSlaves; ++i) {
         slaves_.emplace_back(static_cast<int>(i), arch_, cfg_,
@@ -280,17 +278,11 @@ MsspMachine::tickCommit()
     if (!t.done())
         return;
 
-    auto squash_with_hook = [&](TaskOutcome reason) {
-        if (squash_hook_)
-            squash_hook_(t, reason);
-        squash(reason);
-    };
-
     if (injector_ && injector_->fire(FaultType::SpuriousSquash)) {
         // Glitched verification hardware: squash a head task that may
         // well have verified. Costs performance, never correctness —
         // squashed work leaves architected state untouched.
-        squash_with_hook(TaskOutcome::SquashedSpurious);
+        squash(TaskOutcome::SquashedSpurious);
         return;
     }
 
@@ -299,14 +291,14 @@ MsspMachine::tickCommit()
       case TaskEnd::Halted:
       case TaskEnd::MmioStop: {
         if (t.startPc != arch_.pc()) {
-            squash_with_hook(TaskOutcome::SquashedWrongPc);
+            squash(TaskOutcome::SquashedWrongPc);
             return;
         }
         ctrs_.liveInCellsChecked += t.liveIn.size();
         uint64_t mismatches = arch_.countMismatches(t.liveIn);
         if (mismatches) {
             ctrs_.liveInCellsMismatched += mismatches;
-            squash_with_hook(TaskOutcome::SquashedLiveIn);
+            squash(TaskOutcome::SquashedLiveIn);
             return;
         }
         bool mmio = t.end == TaskEnd::MmioStop;
@@ -327,11 +319,11 @@ MsspMachine::tickCommit()
             faulted_ = true;
             return;
         }
-        squash_with_hook(TaskOutcome::SquashedLiveIn);
+        squash(TaskOutcome::SquashedLiveIn);
         return;
       }
       case TaskEnd::Overrun:
-        squash_with_hook(TaskOutcome::SquashedOverrun);
+        squash(TaskOutcome::SquashedOverrun);
         return;
       case TaskEnd::None:
         return;
@@ -564,9 +556,7 @@ MsspMachine::tickSeq()
     SeqArchContext ctx(arch_, device_, outputs_);
 
     // Per-step obligations (instret, backoff countdowns, the
-    // re-engage check) ride the engine hook, so sequential fallback
-    // runs on the configured tier too (hooked: blockjit resolves to
-    // threaded).
+    // re-engage check) ride the reference engine's hook.
     struct SeqHook
     {
         MsspMachine &m;
@@ -594,13 +584,11 @@ MsspMachine::tickSeq()
         }
     };
 
-    const BackendKind backend = resolveHookedBackend(cfg_.execBackend);
     while (seq_budget_ >= 1.0 && !halted_ && !faulted_) {
         auto avail = static_cast<uint64_t>(seq_budget_);
         SeqHook hook{*this};
-        EngineResult er = runOnBackend(backend, orig_decode_,
-                                       arch_.pc(), avail, ctx, nullptr,
-                                       hook);
+        EngineResult er =
+            runRefEngine(orig_decode_, arch_.pc(), avail, ctx, hook);
         // The budget counts attempts: a faulting one consumed a slot.
         seq_budget_ -= static_cast<double>(
             er.retired + (er.status == StepStatus::Illegal ? 1 : 0));

@@ -43,7 +43,7 @@
 #include "mssp/master.hh"
 #include "mssp/slave.hh"
 #include "mssp/task.hh"
-#include "sim/event_queue.hh"
+#include "sim/cycle.hh"
 #include "stats/stats.hh"
 
 namespace mssp
@@ -166,11 +166,6 @@ class MsspMachine
                                           const ArchState &)>;
     void setCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-    /** Head-squash observer hook (diagnostics and tests): called with
-     *  the offending task and the squash reason. */
-    using SquashHook = std::function<void(const Task &, TaskOutcome)>;
-    void setSquashHook(SquashHook hook) { squash_hook_ = std::move(hook); }
-
   private:
     enum class Mode : uint8_t { Spec, Seq, Restarting };
 
@@ -273,7 +268,6 @@ class MsspMachine
     /** Per-fork-site engage/squash attribution (MsspResult). */
     std::map<uint32_t, ForkSiteStat> site_stats_;
     CommitHook commit_hook_;
-    SquashHook squash_hook_;
     /** Fault injector (null = no hooks fire; see setFaultInjector). */
     FaultInjector *injector_ = nullptr;
     /** Patchable distilled-code addresses (built on injector attach;

@@ -1,6 +1,5 @@
 #include "mssp/master.hh"
 
-#include "exec/blockjit.hh"
 #include "sim/logging.hh"
 
 namespace mssp
@@ -11,8 +10,7 @@ MasterCore::runSlice(unsigned max_steps, unsigned *executed)
 {
     MSSP_ASSERT(running());
     SliceHook hook{*this};
-    EngineResult er = runOnBackend(backend_, decode_, pc_, max_steps,
-                                   *this, nullptr, hook);
+    EngineResult er = runRefEngine(decode_, pc_, max_steps, *this, hook);
     pc_ = er.pc;
     total_insts_ += er.retired;
     insts_since_restart_ += er.retired;

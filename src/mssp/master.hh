@@ -145,14 +145,6 @@ class MasterCore final : public ExecContext
      *  case runSlice cannot make progress on). */
     bool atFork() { return decode_.at(pc_).op == Opcode::Fork; }
 
-    /** Select the execution tier. The master needs per-step hooks
-     *  (fork gating, jalr translation), so blockjit resolves to
-     *  threaded. */
-    void setBackend(BackendKind kind)
-    {
-        backend_ = resolveHookedBackend(kind);
-    }
-
     /** Arrivals required at site i before it spawns (per-site
      *  interval times the machine-wide fork interval). */
     uint32_t requiredArrivals(uint32_t task_map_index) const;
@@ -334,7 +326,6 @@ class MasterCore final : public ExecContext
 
     uint64_t insts_since_restart_ = 0;
     uint64_t total_insts_ = 0;
-    BackendKind backend_ = resolveHookedBackend(defaultBackend());
 
     friend class MsspMachine;
 

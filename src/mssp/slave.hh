@@ -24,7 +24,7 @@
 
 #include "arch/arch_state.hh"
 #include "arch/mmio.hh"
-#include "exec/blockjit.hh"
+#include "exec/backend.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
 #include "exec/executor.hh"
@@ -152,8 +152,7 @@ class SlaveCore
     SlaveCore(int id, const ArchState &arch, const MsspConfig &cfg,
               const ForkSiteSet &fork_site_pcs, DecodeCache &decode)
         : id_(id), arch_(arch), cfg_(cfg),
-          fork_site_pcs_(fork_site_pcs), decode_(decode),
-          backend_(resolveHookedBackend(cfg.execBackend))
+          fork_site_pcs_(fork_site_pcs), decode_(decode)
     {
         if (cfg.useSlaveL1)
             l1_ = std::make_unique<Cache>(cfg.slaveL1);
@@ -246,9 +245,8 @@ class SlaveCore
     void refreshEndCondition();
 
     /**
-     * Per-step obligations of task execution, expressed as an engine
-     * hook (exec/backend.hh) so the slice below runs on any tier that
-     * honors CapPerStepHook. Ordering mirrors the historical inline
+     * Per-step obligations of task execution, expressed as a hook on
+     * the reference engine (exec/backend.hh). Ordering mirrors the historical inline
      * loop exactly: MMIO aborts discard the step, halt ends the task
      * with the pc pinned, then arch-read stalls, end-condition
      * arrivals, fork-site pauses and the runaway cap — the last three
@@ -327,11 +325,6 @@ class SlaveCore
     double budget_ = 0.0;
     Cycle stall_ = 0;
 
-    /** Execution tier for task slices. Slaves carry per-step
-     *  obligations (the hook above), so blockjit resolves to
-     *  threaded here (resolveHookedBackend). */
-    BackendKind backend_;
-
     uint64_t arch_stall_cycles_ = 0;
     uint64_t pause_cycles_ = 0;
     uint64_t idle_cycles_ = 0;
@@ -377,9 +370,8 @@ SlaveCore::tickActive()
     // One engine slice, budgeted in *attempted* steps: MMIO-discarded
     // and faulting attempts consume budget without retiring, exactly
     // as the historical per-step loop charged them.
-    EngineResult er =
-        runOnBackend(backend_, decode_, t.pc,
-                     static_cast<uint64_t>(budget_), ctx, nullptr, hook);
+    EngineResult er = runRefEngine(
+        decode_, t.pc, static_cast<uint64_t>(budget_), ctx, hook);
     uint64_t attempts =
         hook.attempts + (er.status == StepStatus::Illegal ? 1 : 0);
     budget_ -= static_cast<double>(attempts);

@@ -2,7 +2,7 @@
 
 #include "arch/arch_state.hh"
 #include "arch/mmio.hh"
-#include "exec/blockjit.hh"
+#include "exec/backend.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
 #include "exec/executor.hh"
@@ -134,8 +134,7 @@ struct ProfileHook
 } // anonymous namespace
 
 ProfileData
-profileProgram(const Program &prog, uint64_t max_insts,
-               BackendKind backend)
+profileProgram(const Program &prog, uint64_t max_insts)
 {
     ArchState state;
     state.loadProgram(prog);
@@ -145,8 +144,7 @@ profileProgram(const Program &prog, uint64_t max_insts,
     ctx.writtenAddrs = &data.writtenAddrs;
 
     ProfileHook hook{ctx, data};
-    runOnBackend(resolveHookedBackend(backend), decode, state.pc(),
-                 max_insts, ctx, nullptr, hook);
+    runRefEngine(decode, state.pc(), max_insts, ctx, hook);
     return data;
 }
 

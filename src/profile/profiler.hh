@@ -14,7 +14,6 @@
 #include <cstdint>
 
 #include "asm/program.hh"
-#include "exec/backend.hh"
 #include "profile/profile_data.hh"
 
 namespace mssp
@@ -23,12 +22,10 @@ namespace mssp
 /**
  * Execute @p prog for up to @p max_insts instructions, collecting a
  * ProfileData. The run is purely observational: program semantics are
- * identical to SEQ. Observation needs a per-step hook, so @p backend
- * resolves through resolveHookedBackend (blockjit profiles on the
- * threaded tier); the profile is backend-invariant.
+ * identical to SEQ. Observation rides a per-step hook on the reference
+ * engine.
  */
-ProfileData profileProgram(const Program &prog, uint64_t max_insts,
-                           BackendKind backend = defaultBackend());
+ProfileData profileProgram(const Program &prog, uint64_t max_insts);
 
 } // namespace mssp
 

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the dataflow analysis framework (src/analysis/):
  * dominators, SCCs, the generic solver (including convergence on
- * looping and irreducible graphs), liveness and reaching definitions.
+ * looping and irreducible graphs) and liveness.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "analysis/dataflow.hh"
 #include "analysis/flow_graph.hh"
 #include "analysis/liveness.hh"
-#include "analysis/reaching_defs.hh"
 #include "asm/assembler.hh"
 #include "distill/ir.hh"
 
@@ -217,92 +216,6 @@ TEST(Liveness, LoopProgram)
     EXPECT_EQ(live[p.entry()].liveIn, 0u);
     EXPECT_EQ(live[p.entry()].liveOut,
               (1u << reg::T0) | (1u << reg::T1));
-}
-
-TEST(ReachingDefs, LoopDefsAndPseudoDefs)
-{
-    Program p = assemble(
-        "    li t0, 3\n"
-        "loop:\n"
-        "    add t1, t1, t0\n"     // t1 read before any def!
-        "    addi t0, t0, -1\n"
-        "    bne t0, zero, loop\n"
-        "    out t1, 0\n"
-        "    halt\n");
-    Cfg cfg = Cfg::build(p, p.entry());
-    DistillIr ir = DistillIr::build(cfg, nullptr);
-    ReachingDefs rd = ReachingDefs::compute(ir);
-
-    int loop_blk = ir.blockOfOrigPc(DefaultCodeBase + 1);
-    ASSERT_GE(loop_blk, 0);
-
-    // Use of t0 at the loop head: reached by the entry `li` and the
-    // in-loop decrement, but NOT by t0's pseudo-def (always written
-    // before the loop).
-    std::vector<int> t0_defs =
-        rd.defsReachingUse(ir, loop_blk, 0, reg::T0);
-    EXPECT_EQ(t0_defs.size(), 2u);
-    for (int d : t0_defs)
-        EXPECT_FALSE(rd.isPseudo(d));
-
-    // Use of t1 at the loop head: its pseudo-def reaches (read
-    // before ever written on the path around the entry).
-    std::vector<int> t1_defs =
-        rd.defsReachingUse(ir, loop_blk, 0, reg::T1);
-    bool has_pseudo = false;
-    for (int d : t1_defs)
-        has_pseudo |= rd.isPseudo(d);
-    EXPECT_TRUE(has_pseudo);
-
-    EXPECT_GE(rd.solverSweeps(), 1u);
-}
-
-TEST(ReachingDefs, InBlockShadowing)
-{
-    Program p = assemble(
-        "    li t0, 1\n"
-        "    li t0, 2\n"
-        "    add t1, t0, t0\n"
-        "    halt\n");
-    Cfg cfg = Cfg::build(p, p.entry());
-    DistillIr ir = DistillIr::build(cfg, nullptr);
-    ReachingDefs rd = ReachingDefs::compute(ir);
-
-    int blk = ir.blockOfOrigPc(p.entry());
-    ASSERT_GE(blk, 0);
-    // The use at body index 2 sees only the second li.
-    std::vector<int> defs = rd.defsReachingUse(ir, blk, 2, reg::T0);
-    ASSERT_EQ(defs.size(), 1u);
-    EXPECT_EQ(rd.defs()[static_cast<size_t>(defs[0])].origPc,
-              p.entry() + 1);
-}
-
-TEST(ReachingDefs, CallClobbersEveryRegister)
-{
-    Program p = assemble(
-        "    li s0, 7\n"
-        "    call f\n"
-        "    add t1, s0, s0\n"
-        "    halt\n"
-        "f:\n"
-        "    li t2, 1\n"
-        "    ret\n");
-    Cfg cfg = Cfg::build(p, p.entry());
-    DistillIr ir = DistillIr::build(cfg, nullptr);
-    ReachingDefs rd = ReachingDefs::compute(ir);
-
-    // The continuation block after the call: s0's reaching defs are
-    // the modeled call clobber, not the entry `li` (conservative
-    // jalr treatment — the callee may write anything).
-    int cont = ir.blockOfOrigPc(DefaultCodeBase + 2);
-    ASSERT_GE(cont, 0);
-    std::vector<int> defs = rd.defsReachingUse(ir, cont, 0, reg::S0);
-    ASSERT_FALSE(defs.empty());
-    for (int d : defs) {
-        const DefSite &site = rd.defs()[static_cast<size_t>(d)];
-        EXPECT_FALSE(rd.isPseudo(d));
-        EXPECT_EQ(site.inst, -1);   // terminator-modeled def
-    }
 }
 
 TEST(Liveness, IrAndCfgAgreeOnStraightLine)

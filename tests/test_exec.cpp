@@ -274,8 +274,8 @@ TEST(Exec, EvalAluHelper)
 // Tiered execution backends (exec/backend.hh)
 // ---------------------------------------------------------------------
 
-constexpr BackendKind kAllTiers[] = {
-    BackendKind::Ref, BackendKind::Threaded, BackendKind::BlockJit};
+constexpr BackendKind kAllTiers[] = {BackendKind::Ref,
+                                     BackendKind::BlockJit};
 
 TEST(Backend, NamesRoundTrip)
 {
@@ -287,55 +287,7 @@ TEST(Backend, NamesRoundTrip)
     EXPECT_FALSE(backendFromName("jit").has_value());
     EXPECT_FALSE(backendFromName("").has_value());
     EXPECT_FALSE(backendFromName("REF").has_value());
-}
-
-TEST(Backend, AvailabilityFallback)
-{
-    // The injected-availability seam: a build without computed goto
-    // degrades threaded -> ref and leaves the other tiers alone.
-    EXPECT_EQ(resolveBackendFor(BackendKind::Threaded, false),
-              BackendKind::Ref);
-    EXPECT_EQ(resolveBackendFor(BackendKind::Threaded, true),
-              BackendKind::Threaded);
-    EXPECT_EQ(resolveBackendFor(BackendKind::Ref, false),
-              BackendKind::Ref);
-    EXPECT_EQ(resolveBackendFor(BackendKind::BlockJit, false),
-              BackendKind::BlockJit);
-
-    // This build's actual availability.
-    EXPECT_TRUE(backendAvailable(BackendKind::Ref));
-    EXPECT_TRUE(backendAvailable(BackendKind::BlockJit));
-    EXPECT_EQ(backendAvailable(BackendKind::Threaded),
-              MSSP_HAS_COMPUTED_GOTO == 1);
-}
-
-TEST(Backend, HookedConsumersNeverGetBlockJit)
-{
-    // Per-step obligations are a capability T2 does not have: hooked
-    // consumers resolve blockjit down to the threaded tier.
-    BackendKind k = resolveHookedBackend(BackendKind::BlockJit);
-    EXPECT_NE(k, BackendKind::BlockJit);
-    if (backendAvailable(BackendKind::Threaded)) {
-        EXPECT_EQ(k, BackendKind::Threaded);
-    } else {
-        EXPECT_EQ(k, BackendKind::Ref);
-    }
-    EXPECT_EQ(resolveHookedBackend(BackendKind::Ref), BackendKind::Ref);
-}
-
-TEST(Backend, RegistryExposesAllTiers)
-{
-    for (BackendKind kind : kAllTiers) {
-        const ExecBackend &b = backend(kind);
-        EXPECT_EQ(b.kind(), kind);
-        EXPECT_STREQ(b.name(), backendName(kind));
-    }
-    EXPECT_TRUE(backend(BackendKind::Ref).capabilities() &
-                CapPerStepHook);
-    EXPECT_TRUE(backend(BackendKind::BlockJit).capabilities() &
-                CapBlockCompile);
-    EXPECT_FALSE(backend(BackendKind::BlockJit).capabilities() &
-                 CapPerStepHook);
+    EXPECT_FALSE(backendFromName("threaded").has_value());
 }
 
 TEST(Backend, RunRespectsMaxInstsOnEveryTier)
@@ -368,10 +320,10 @@ TEST(Backend, TiersAgreeOnFaultingProgram)
         "nowhere:\n";
     Program p = assemble(src);
     SeqMachine ref(p);
+    ref.setBackend(BackendKind::Ref);
     ref.run(100000);
     ASSERT_TRUE(ref.faulted());
-    for (BackendKind kind :
-         {BackendKind::Threaded, BackendKind::BlockJit}) {
+    for (BackendKind kind : kAllTiers) {
         SCOPED_TRACE(backendName(kind));
         SeqMachine m(p);
         m.setBackend(kind);
@@ -398,11 +350,11 @@ TEST(Backend, TiersAgreeOnMmio)
         "    halt\n";
     Program p = assemble(src);
     SeqMachine ref(p);
+    ref.setBackend(BackendKind::Ref);
     ref.run(100000);
     ASSERT_TRUE(ref.halted());
     ASSERT_EQ(ref.outputs().size(), 5u);
-    for (BackendKind kind :
-         {BackendKind::Threaded, BackendKind::BlockJit}) {
+    for (BackendKind kind : kAllTiers) {
         SCOPED_TRACE(backendName(kind));
         SeqMachine m(p);
         m.setBackend(kind);
@@ -417,7 +369,7 @@ TEST(Backend, BlockJitCompilesHotLoops)
 {
     // 200 iterations of a 3-instruction loop is far past the heat
     // threshold: the tier must actually enter compiled blocks (the
-    // whole point of T2), not silently single-step everything.
+    // whole point of blockjit), not silently single-step everything.
     Program p = assemble(
         "    li t0, 200\n"
         "loop:\n"
@@ -499,13 +451,15 @@ TEST(Backend, InvalidateFlushesCompiledBlocksOnEveryTier)
         DecodeCache dc(prog);
         FlatCtx ctx(prog);
         BlockJit jit(dc);
-        BlockJit *jitp =
-            kind == BackendKind::BlockJit ? &jit : nullptr;
+        auto runOn = [&](uint32_t pc, uint64_t max_steps) {
+            return kind == BackendKind::BlockJit
+                       ? jit.run(pc, max_steps, ctx)
+                       : runRefEngine(dc, pc, max_steps, ctx);
+        };
 
         // First half: exactly 100 iterations (2 setup + 3 per iter),
-        // ending with the loop hot and (on T2) compiled.
-        EngineResult er =
-            runOnBackend(kind, dc, entry, 2 + 3 * 100, ctx, jitp);
+        // ending with the loop hot and (on blockjit) compiled.
+        EngineResult er = runOn(entry, 2 + 3 * 100);
         ASSERT_EQ(er.status, StepStatus::Ok);
         ASSERT_EQ(er.retired, 2u + 3u * 100u);
         ASSERT_EQ(er.pc, entry + 2);   // back at the loop head
@@ -518,7 +472,7 @@ TEST(Backend, InvalidateFlushesCompiledBlocksOnEveryTier)
         dc.invalidate(entry + 2);
 
         // Second half runs the *patched* semantics.
-        er = runOnBackend(kind, dc, er.pc, 1000000, ctx, jitp);
+        er = runOn(er.pc, 1000000);
         EXPECT_EQ(er.status, StepStatus::Halted);
         ASSERT_EQ(ctx.outputs.size(), 1u);
         EXPECT_EQ(ctx.outputs[0].value, 100u + 2u * 100u);

@@ -30,8 +30,8 @@ const char *kSpinSource =
     "    addi s0, s0, 1\n"
     "    j loop\n";
 
-constexpr BackendKind kTiers[] = {
-    BackendKind::Ref, BackendKind::Threaded, BackendKind::BlockJit};
+constexpr BackendKind kTiers[] = {BackendKind::Ref,
+                                  BackendKind::BlockJit};
 
 TEST(Supervision, DeadlineTripsMidRunOnEveryTier)
 {

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for util helpers (bitfield, strings) and the sim kernel
- * (logging, RNG, event queue).
+ * (logging, RNG).
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "util/bitfield.hh"
@@ -149,55 +148,6 @@ TEST(Rng, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
-}
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&] { fired.push_back(10); });
-    q.schedule(5, [&] { fired.push_back(5); });
-    q.schedule(7, [&] { fired.push_back(7); });
-    q.runUntil(6);
-    ASSERT_EQ(fired, (std::vector<int>{5}));
-    q.runUntil(20);
-    ASSERT_EQ(fired, (std::vector<int>{5, 7, 10}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, SameCycleInsertionOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(3, [&fired, i] { fired.push_back(i); });
-    q.runUntil(3);
-    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, HandlerSchedulesWithinWindow)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(1, [&] {
-        fired.push_back(1);
-        q.schedule(2, [&] { fired.push_back(2); });
-    });
-    q.runUntil(5);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(1, [&] { ++count; });
-    q.schedule(2, [&] { ++count; });
-    EXPECT_EQ(q.pending(), 2u);
-    q.clear();
-    q.runUntil(100);
-    EXPECT_EQ(count, 0);
-    EXPECT_EQ(q.pending(), 0u);
 }
 
 } // anonymous namespace

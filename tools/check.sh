@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo health check: formatting (advisory), a normal build + ctest, a
-# tree-wide clang-tidy pass (gating when the binary is available), a
-# lint-gate smoke test on a deliberately corrupted distilled object,
-# a fault-injection campaign smoke (all fault types, determinism
-# checked), a Release-build benchmark smoke run (regression gate), and
-# a second build + ctest under ASan+UBSan (MSSP_SANITIZE).
+# Repo health check: formatting (advisory), a scan for library headers
+# only tests include, a normal build + ctest, a tree-wide clang-tidy
+# pass (gating when the binary is available), a lint-gate smoke test
+# on a deliberately corrupted distilled object, a fault-injection
+# campaign smoke (all fault types, determinism checked), a
+# Release-build benchmark smoke run (regression gate), and a second
+# build + ctest under ASan+UBSan (MSSP_SANITIZE).
 #
 #   tools/check.sh [--fast]     # --fast skips the sanitizer pass
 #
@@ -27,6 +28,35 @@ fast=0
 
 echo "== format check (advisory)"
 tools/format.sh --check || echo "check.sh: formatting differs (advisory only)"
+
+# A src/ header that tests include but no library, tool, bench,
+# example or perfbench file does is code only tests use: delete it
+# with its tests instead of shipping it in libmssp. The allow-list
+# names headers that exist for tests, each with its reason.
+echo "== test-only library headers"
+declare -A test_only_ok=(
+    [formal/abstract_model.hh]="the reference model tests check the machine against"
+    [workloads/micro.hh]="the regression workload set"
+)
+test_only=()
+while read -r hdr; do
+    rel=${hdr#src/}
+    if [[ -n "${test_only_ok[$rel]:-}" ]]; then
+        continue
+    fi
+    grep -rqF "#include \"$rel\"" tests || continue
+    users=$(grep -rlF "#include \"$rel\"" \
+                src tools bench examples perfbench \
+            | grep -vxF "${hdr%.hh}.cc" || true)
+    if [[ -z "$users" ]]; then
+        test_only+=("$rel")
+    fi
+done < <(find src -name '*.hh' | sort)
+if [[ ${#test_only[@]} -gt 0 ]]; then
+    echo "check.sh: src/ headers included only from tests/:" \
+         "${test_only[*]}" >&2
+    exit 1
+fi
 
 echo "== build (default flags)"
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
@@ -113,21 +143,19 @@ echo "JSON error documents emitted on usage/read failures, as specified"
 if [[ "${MSSP_SKIP_BACKENDS:-0}" == "1" ]]; then
     echo "== skipping backend smoke (MSSP_SKIP_BACKENDS=1)"
 else
-    # The three execution tiers must retire identical architectural
-    # results (DESIGN.md §11): diff a smoke run across all of them,
-    # then run the differential fuzz gate at its default seed range.
-    echo "== backend smoke (ref vs threaded vs blockjit)"
-    for be in ref threaded blockjit; do
+    # The two execution tiers must retire identical architectural
+    # results (DESIGN.md §11): diff a smoke run across both, then run
+    # the differential fuzz gate at its default seed range.
+    echo "== backend smoke (ref vs blockjit)"
+    for be in ref blockjit; do
         build/tools/mssp-run "$tmp/prog.s" --backend "$be" \
             > "$tmp/run-$be.out"
     done
-    for be in threaded blockjit; do
-        if ! cmp -s "$tmp/run-ref.out" "$tmp/run-$be.out"; then
-            echo "check.sh: --backend $be output differs from ref:" >&2
-            diff "$tmp/run-ref.out" "$tmp/run-$be.out" >&2 || true
-            exit 1
-        fi
-    done
+    if ! cmp -s "$tmp/run-ref.out" "$tmp/run-blockjit.out"; then
+        echo "check.sh: --backend blockjit output differs from ref:" >&2
+        diff "$tmp/run-ref.out" "$tmp/run-blockjit.out" >&2 || true
+        exit 1
+    fi
     build/tests/test_backend_fuzz
     echo "backend tiers agree (smoke + fuzz gate)"
 fi

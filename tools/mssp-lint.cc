@@ -76,21 +76,6 @@ loadAny(const std::string &path)
     return assemble(text);
 }
 
-std::string
-jsonEscapeErr(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += strfmt("\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += strfmt("\\u%04x", c);
-        else
-            out += c;
-    }
-    return out;
-}
-
 /** Error document for --report=json early exits: names the schema
  *  the invocation would have produced, so piped jq still parses. */
 void
@@ -99,7 +84,7 @@ emitJsonError(const char *schema, const std::string &message,
 {
     std::printf("{\"schema\": \"%s\", \"error\": \"%s\", \"usage\": "
                 "%s}\n",
-                schema, jsonEscapeErr(message).c_str(),
+                schema, analysis::escapeReportJson(message).c_str(),
                 usage_error ? "true" : "false");
 }
 

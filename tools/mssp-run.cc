@@ -15,9 +15,10 @@
  * static fork site with forked/committed/squash counts split by
  * squash reason and the resulting squash rate.
  *
- * --backend selects the execution tier (ref | threaded | blockjit;
- * see src/exec/backend.hh) and overrides the MSSP_EXEC_BACKEND
- * environment default. Architectural results are tier-invariant.
+ * --backend selects the SEQ execution tier (ref | blockjit; see
+ * src/exec/backend.hh) and overrides the MSSP_EXEC_BACKEND environment
+ * default. The MSSP machine's cores run on ref whatever the tier.
+ * Architectural results are tier-invariant.
  *
  * --timeout-ms / --max-insts arm a whole-invocation budget
  * (sim/supervisor.hh; env defaults MSSP_JOB_TIMEOUT_MS /
@@ -99,11 +100,10 @@ main(int argc, char **argv)
             if (!kind) {
                 std::fprintf(stderr,
                              "mssp-run: unknown backend '%s' "
-                             "(ref | threaded | blockjit)\n", argv[i]);
+                             "(ref | blockjit)\n", argv[i]);
                 return 2;
             }
             setDefaultBackend(*kind);
-            cfg.execBackend = *kind;
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--site-stats") {
@@ -119,7 +119,7 @@ main(int argc, char **argv)
                          "[--fork-latency N] [--commit-latency N] "
                          "[--max-cycles N] [--stats] [--site-stats] "
                          "[--compare] "
-                         "[--backend ref|threaded|blockjit] "
+                         "[--backend ref|blockjit] "
                          "[--timeout-ms N] [--max-insts N]\n");
             return 2;
         }

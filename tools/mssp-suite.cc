@@ -11,7 +11,7 @@
  *   mssp-suite [--workloads gzip,mcf,...] [--scale F] [--seed N]
  *              [--jobs N] [--intensities 1,10] [--max-cycles N]
  *              [--run-max-cycles N] [--json FILE] [--quiet]
- *              [--backend ref|threaded|blockjit]
+ *              [--backend ref|blockjit]
  *              [--timeout-ms N] [--max-insts N] [--retries N]
  *              [--chaos SEED]
  *
@@ -30,6 +30,10 @@
  * the suite sharded, reruns it with --jobs 1, and diffs the bytes
  * (wall-clock-deadline quarantines excepted — they are host-timing
  * dependent by nature).
+ *
+ * --backend selects the SEQ execution tier (src/exec/backend.hh) and
+ * overrides the MSSP_EXEC_BACKEND environment default; the report is
+ * byte-identical on either tier.
  */
 
 #include <algorithm>
@@ -71,7 +75,7 @@ usage()
         "                  [--seed N] [--jobs N] [--intensities 1,10]\n"
         "                  [--max-cycles N] [--run-max-cycles N]\n"
         "                  [--json FILE] [--quiet]\n"
-        "                  [--backend ref|threaded|blockjit]\n"
+        "                  [--backend ref|blockjit]\n"
         "                  [--timeout-ms N] [--max-insts N]\n"
         "                  [--retries N] [--chaos SEED]\n");
     return 2;
@@ -114,11 +118,12 @@ main(int argc, char **argv)
             if (!kind) {
                 std::fprintf(stderr,
                              "mssp-suite: unknown backend '%s' "
-                             "(ref | threaded | blockjit)\n", argv[i]);
+                             "(ref | blockjit)\n", argv[i]);
                 return 2;
             }
-            // Every machine the suite constructs (on any worker
-            // thread) snapshots this process-wide default.
+            // Every SeqMachine the suite constructs (on any worker
+            // thread) snapshots this process-wide default; the MSSP
+            // machine's cores always run on ref.
             setDefaultBackend(*kind);
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
             opts.jobBudget.timeoutMs =
