@@ -31,7 +31,7 @@ benchWorkload()
 }
 
 void
-BM_SeqInterpreter(benchmark::State &state, BackendKind backend)
+BM_SeqInterpreter(benchmark::State &state)
 {
     setQuiet(true);
     Program prog = assemble(benchWorkload().refSource);
@@ -39,14 +39,12 @@ BM_SeqInterpreter(benchmark::State &state, BackendKind backend)
     uint64_t per_run = 0;
     for (auto _ : state) {
         // Time run() only: machine construction (program load into
-        // paged memory) and teardown are identical fixed costs on
-        // every tier and would dilute the interpreter comparison.
-        // Each iteration still starts from a cold machine, so the
-        // blockjit tier's training and compile passes stay inside the
-        // timed region.
+        // paged memory) and teardown are fixed costs that would
+        // dilute the engine measurement. Each iteration still starts
+        // from a cold machine, so blockjit's training and compile
+        // passes stay inside the timed region.
         state.PauseTiming();
         auto m = std::make_unique<SeqMachine>(prog);
-        m->setBackend(backend);
         state.ResumeTiming();
         m->run(100000000);
         insts += m->instCount();
@@ -57,14 +55,11 @@ BM_SeqInterpreter(benchmark::State &state, BackendKind backend)
         state.ResumeTiming();
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
-    // Deterministic simulation outputs (per run, not per batch).
-    // sim_insts must be byte-identical across the two tiers: the
-    // backends execute the same architectural instruction stream
-    // (bench_compare.py gates on it).
+    // Deterministic simulation output (per run, not per batch):
+    // bench_compare.py gates on it.
     state.counters["sim_insts"] = static_cast<double>(per_run);
 }
-BENCHMARK_CAPTURE(BM_SeqInterpreter, ref, BackendKind::Ref);
-BENCHMARK_CAPTURE(BM_SeqInterpreter, blockjit, BackendKind::BlockJit);
+BENCHMARK(BM_SeqInterpreter);
 
 void
 BM_Profiler(benchmark::State &state)

@@ -1,6 +1,7 @@
 /**
  * @file
- * `blockjit`: superinstruction block-compiling engine.
+ * `blockjit`: superinstruction block-compiling engine, the engine of
+ * the unobserved SeqMachine run loop (exec/engine.hh).
  *
  * The predecode cache's hit counters (kept here, per block leader)
  * pick hot decoded regions; each is "compiled" once into a chain of
@@ -31,14 +32,16 @@
  *    executor follows them *inside* its dispatch loop — a hot
  *    block-to-block transfer is a handful of ALU ops and one indirect
  *    jump, with no lookup, no function call and no returned exit
- *    record.
+ *    record. Dispatch uses the GNU address-of-label extension
+ *    (GCC and Clang, the compilers the rest of the repo already
+ *    requires).
  *
  * Deopt rules (DESIGN.md §11): execution falls back to
  * per-instruction stepping (the shared semantic helpers) at cold
  * code, when the remaining retire budget is smaller than a block, and
  * at anything a block cannot contain — faults (Illegal never compiles
  * into a block) and MMIO (device accesses go through the same
- * ctx.readMem/writeMem as the reference tier, so MMIO *correctness*
+ * ctx.readMem/writeMem as the reference engine, so MMIO *correctness*
  * is the context's). The engine takes no per-step hook: machines that
  * must react per step, e.g. the slaves' MMIO abort, run on the
  * reference engine.
@@ -58,16 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/backend.hh"
-
-// The chain executor's threaded dispatch needs the GNU address-of-label
-// extension. -DMSSP_NO_COMPUTED_GOTO forces the portable fallback (CI
-// builds it to prove the degraded path stays green).
-#if !defined(MSSP_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define MSSP_HAS_COMPUTED_GOTO 1
-#else
-#define MSSP_HAS_COMPUTED_GOTO 0
-#endif
+#include "exec/engine.hh"
 
 namespace mssp
 {
@@ -273,9 +267,6 @@ class BlockJit
     }
 
     template <class Ctx>
-    static bool applyMicro(const MicroOp &m, Ctx &ctx);
-
-    template <class Ctx>
     ChainResult execChain(Block *b, Ctx &ctx, uint64_t budget);
 
     DecodeCache *dc_;
@@ -287,95 +278,6 @@ class BlockJit
     uint64_t blocks_entered_ = 0;
     uint64_t insts_in_blocks_ = 0;
 };
-
-/** Portable micro-op interpreter: the no-computed-goto execChain body
- *  (and the readable statement of what each kind does).
- *  @return false when a guard side-exits (the exit pc and retire
- *  count come from the micro-op's c/rd fields). */
-template <class Ctx>
-inline bool
-BlockJit::applyMicro(const MicroOp &m, Ctx &ctx)
-{
-    using exec_detail::rread;
-    using exec_detail::rwrite;
-
-    auto alu = [&](Opcode op, uint32_t x) {
-        uint32_t a = rread(ctx, m.ra);
-        uint32_t o = 0;
-        evalAlu(op, a, x, o);
-        rwrite(ctx, m.rd, o);
-    };
-    auto guard = [&](Opcode op) {
-        uint32_t a = rread(ctx, m.ra);
-        uint32_t x = rread(ctx, m.rb);
-        auto sa = static_cast<int32_t>(a);
-        auto sx = static_cast<int32_t>(x);
-        switch (op) {
-          case Opcode::Beq:  return a == x;
-          case Opcode::Bne:  return a != x;
-          case Opcode::Blt:  return sa < sx;
-          case Opcode::Bge:  return sa >= sx;
-          case Opcode::Bltu: return a < x;
-          case Opcode::Bgeu: return a >= x;
-          default: panic("blockjit: bad guard opcode");
-        }
-    };
-
-    switch (m.kind) {
-      case MKind::Const:
-        rwrite(ctx, m.rd, m.c);
-        break;
-      case MKind::Lw:
-        rwrite(ctx, m.rd, ctx.readMem(rread(ctx, m.ra) + m.c));
-        break;
-      case MKind::Sw:
-        ctx.writeMem(rread(ctx, m.ra) + m.c, rread(ctx, m.rb));
-        break;
-      case MKind::OutP:
-        ctx.output(static_cast<uint16_t>(m.c), rread(ctx, m.ra));
-        break;
-      case MKind::ForkT:
-        ctx.fork(m.c);
-        break;
-      case MKind::Add:  alu(Opcode::Add, rread(ctx, m.rb)); break;
-      case MKind::Sub:  alu(Opcode::Sub, rread(ctx, m.rb)); break;
-      case MKind::Mul:  alu(Opcode::Mul, rread(ctx, m.rb)); break;
-      case MKind::Div:  alu(Opcode::Div, rread(ctx, m.rb)); break;
-      case MKind::Rem:  alu(Opcode::Rem, rread(ctx, m.rb)); break;
-      case MKind::And:  alu(Opcode::And, rread(ctx, m.rb)); break;
-      case MKind::Or:   alu(Opcode::Or, rread(ctx, m.rb)); break;
-      case MKind::Xor:  alu(Opcode::Xor, rread(ctx, m.rb)); break;
-      case MKind::Sll:  alu(Opcode::Sll, rread(ctx, m.rb)); break;
-      case MKind::Srl:  alu(Opcode::Srl, rread(ctx, m.rb)); break;
-      case MKind::Sra:  alu(Opcode::Sra, rread(ctx, m.rb)); break;
-      case MKind::Slt:  alu(Opcode::Slt, rread(ctx, m.rb)); break;
-      case MKind::Sltu: alu(Opcode::Sltu, rread(ctx, m.rb)); break;
-      case MKind::AddC:  alu(Opcode::Add, m.c); break;
-      case MKind::AndC:  alu(Opcode::And, m.c); break;
-      case MKind::OrC:   alu(Opcode::Or, m.c); break;
-      case MKind::XorC:  alu(Opcode::Xor, m.c); break;
-      case MKind::SltC:  alu(Opcode::Slt, m.c); break;
-      case MKind::SltuC: alu(Opcode::Sltu, m.c); break;
-      case MKind::SllC:  alu(Opcode::Sll, m.c); break;
-      case MKind::SrlC:  alu(Opcode::Srl, m.c); break;
-      case MKind::SraC:  alu(Opcode::Sra, m.c); break;
-      case MKind::GTbeq:  return guard(Opcode::Beq);
-      case MKind::GTbne:  return guard(Opcode::Bne);
-      case MKind::GTblt:  return guard(Opcode::Blt);
-      case MKind::GTbge:  return guard(Opcode::Bge);
-      case MKind::GTbltu: return guard(Opcode::Bltu);
-      case MKind::GTbgeu: return guard(Opcode::Bgeu);
-      case MKind::GFbeq:  return !guard(Opcode::Beq);
-      case MKind::GFbne:  return !guard(Opcode::Bne);
-      case MKind::GFblt:  return !guard(Opcode::Blt);
-      case MKind::GFbge:  return !guard(Opcode::Bge);
-      case MKind::GFbltu: return !guard(Opcode::Bltu);
-      case MKind::GFbgeu: return !guard(Opcode::Bgeu);
-      case MKind::End:
-        break;
-    }
-    return true;
-}
 
 /**
  * Execute the chain of linked blocks starting at @p b until a cold
@@ -397,8 +299,6 @@ BlockJit::execChain(Block *b, Ctx &ctx, uint64_t budget)
     uint64_t entered = 1;  // blocks entered (counting this one)
     uint32_t next_pc = 0;
     Block **slot = nullptr;
-
-#if MSSP_HAS_COMPUTED_GOTO
 
     // Register accessors. Contexts with raw register storage skip
     // the r0 guards: reads of slot 0 see the pinned zero, and
@@ -619,75 +519,6 @@ chain: {
 #undef MSSP_T2_ALU_RC
 #undef MSSP_T2_ALU_RR
 #undef MSSP_T2_NEXT
-
-#else // !MSSP_HAS_COMPUTED_GOTO
-
-    for (;;) {
-        for (const MicroOp *m = b->body.data(); m->kind != MKind::End;
-             ++m) {
-            if (!applyMicro(*m, ctx))  // guard side-exit
-                return {m->c, false, done + m->rd, entered};
-        }
-
-        const Terminator &t = b->term;
-        switch (t.kind) {
-          case TKind::Beq:
-          case TKind::Bne:
-          case TKind::Blt:
-          case TKind::Bge:
-          case TKind::Bltu:
-          case TKind::Bgeu: {
-            uint32_t a = rread(ctx, t.ra);
-            uint32_t bb = rread(ctx, t.rb);
-            auto sa = static_cast<int32_t>(a);
-            auto sb = static_cast<int32_t>(bb);
-            bool taken = false;
-            switch (t.kind) {
-              case TKind::Beq:  taken = a == bb; break;
-              case TKind::Bne:  taken = a != bb; break;
-              case TKind::Blt:  taken = sa < sb; break;
-              case TKind::Bge:  taken = sa >= sb; break;
-              case TKind::Bltu: taken = a < bb; break;
-              case TKind::Bgeu: taken = a >= bb; break;
-              default: panic("blockjit: bad branch terminator");
-            }
-            next_pc = taken ? t.takenPc : t.fallPc;
-            slot = taken ? &b->takenLink : &b->fallLink;
-            break;
-          }
-          case TKind::JumpReg: {
-            next_pc = rread(ctx, t.ra) + t.imm;
-            rwrite(ctx, t.rd, t.c);
-            slot = nullptr;  // indirect target: no link slot
-            break;
-          }
-          case TKind::HaltT:
-            return {t.fallPc, true, done + b->nInsts, entered};
-          case TKind::FallThrough:
-            next_pc = t.fallPc;
-            slot = &b->fallLink;
-            break;
-        }
-
-        // Block-to-block transfer (same rules as the computed-goto
-        // `chain` label above).
-        done += b->nInsts;
-        budget -= b->nInsts;
-        Block *nb;
-        if (slot != nullptr) {
-            nb = *slot;
-            if (nb == nullptr && (nb = lookup(next_pc)) != nullptr)
-                *slot = nb;
-        } else {
-            nb = lookup(next_pc);
-        }
-        if (nb == nullptr || nb->nInsts > budget)
-            return {next_pc, false, done, entered};
-        b = nb;
-        ++entered;
-    }
-
-#endif // MSSP_HAS_COMPUTED_GOTO
 }
 
 template <class Ctx>

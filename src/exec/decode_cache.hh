@@ -94,10 +94,10 @@ class DecodeCache
 
     /**
      * Invalidation epoch: bumped by every invalidate(). Consumers
-     * that derive state from decoded instructions (the blockjit
-     * tier's compiled superop blocks) compare this against their own
+     * that derive state from decoded instructions (blockjit's
+     * compiled superop blocks) compare this against their own
      * snapshot and flush when it moved — a patched instruction must
-     * be re-decoded by *every* tier, not just this cache.
+     * be re-decoded by *every* engine, not just this cache.
      */
     uint64_t version() const { return version_; }
 

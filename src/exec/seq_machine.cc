@@ -12,9 +12,9 @@ namespace
 {
 
 /** Supervised slice size: small enough that a wall-clock deadline is
- *  observed within a fraction of a millisecond at interpreter speed
- *  (~150-400M insts/s across the tiers), large enough that the
- *  between-slice poll is noise. */
+ *  observed within a fraction of a millisecond at SEQ speed
+ *  (~150-400M insts/s), large enough that the between-slice poll is
+ *  noise. */
 constexpr uint64_t kSuperviseSliceInsts = 16384;
 
 } // anonymous namespace
@@ -59,7 +59,7 @@ SeqMachine::step()
 
 // hot + aligned for the same layout-stability reason as
 // executeDecodedOn (exec/executor.hh): the batched run loop and the
-// dispatch body it calls should sit together in .text.hot with fixed
+// engine it calls should sit together in .text.hot with fixed
 // alignment, immune to unrelated code growth elsewhere.
 __attribute__((hot, aligned(64))) SeqRunResult
 SeqMachine::runLoop(uint64_t max_insts)
@@ -67,24 +67,20 @@ SeqMachine::runLoop(uint64_t max_insts)
     SeqRunResult result;
 
     if (observer_) {
-        // Observed runs keep exact per-step bookkeeping.
+        // Observed runs step through the reference semantics with
+        // exact per-step bookkeeping.
         while (!halted_ && !faulted_ && result.instCount < max_insts) {
             step();
             ++result.instCount;
         }
     } else if (!halted_ && !faulted_) {
-        // Hot path: the selected execution tier runs with pc and
-        // retirement in locals; storage accesses devirtualize
-        // (SeqMachine is final). Both tiers are architecturally
-        // interchangeable here (tests/test_backend_fuzz.cpp).
-        EngineResult er;
-        if (backend_ == BackendKind::BlockJit) {
-            if (!jit_)
-                jit_ = std::make_unique<BlockJit>(decode_);
-            er = jit_->run(state_.pc(), max_insts, *this);
-        } else {
-            er = runRefEngine(decode_, state_.pc(), max_insts, *this);
-        }
+        // Hot path: blockjit runs with pc and retirement in locals;
+        // storage accesses devirtualize (SeqMachine is final). It is
+        // architecturally interchangeable with the observed path
+        // (tests/test_backend_fuzz.cpp).
+        if (!jit_)
+            jit_ = std::make_unique<BlockJit>(decode_);
+        EngineResult er = jit_->run(state_.pc(), max_insts, *this);
         halted_ = er.status == StepStatus::Halted;
         faulted_ = er.status == StepStatus::Illegal;
         state_.setPc(er.pc);
@@ -108,10 +104,10 @@ SeqMachine::run(uint64_t max_insts)
     if (!sup)
         return runLoop(max_insts);
 
-    // Supervised: run bounded slices on the selected tier (no tier
-    // degradation — a bounded engine call is the budget mechanism
-    // every tier already implements), polling between slices. Trips
-    // throw at a slice boundary, leaving the machine consistent.
+    // Supervised: run bounded slices (a bounded engine call is the
+    // budget mechanism the engine already implements), polling
+    // between slices. Trips throw at a slice boundary, leaving the
+    // machine consistent.
     SeqRunResult total;
     while (!halted_ && !faulted_ && total.instCount < max_insts) {
         sup->checkOrThrow();

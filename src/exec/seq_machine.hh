@@ -5,14 +5,16 @@
  * SEQ executes a program directly against an ArchState, one
  * instruction at a time. It is the correctness oracle for every MSSP
  * configuration (jumping-refinement tests compare MSSP output and
- * final state against SEQ), the profiler's execution engine, and the
- * single-core performance baseline.
+ * final state against SEQ) and the single-core performance baseline.
  *
- * The run loop is the simulator's hottest path: it executes through a
- * predecode cache over the machine's own loaded memory and a
- * devirtualized executor instantiation (SeqMachine is final), keeping
- * the PC and retirement counters in locals. The reference stepAt path
- * is differential-tested against it in tests/test_decode_cache.cpp.
+ * The unobserved run loop is the simulator's hottest path: it runs
+ * the blockjit engine (exec/blockjit.hh) over the machine's own
+ * loaded memory with a devirtualized context (SeqMachine is final),
+ * keeping the PC and retirement counters in locals. Observed runs
+ * (an Observer installed) step one instruction at a time through
+ * executeDecodedOn, the reference semantics, so the two run paths
+ * check each other (tests/test_backend_fuzz.cpp); step() itself is
+ * differential-tested against stepAt in tests/test_decode_cache.cpp.
  */
 
 #ifndef MSSP_EXEC_SEQ_MACHINE_HH
@@ -56,9 +58,7 @@ class SeqMachine final : public ExecContext
     };
 
     /** Construct with the program loaded and PC at its entry. The
-     *  image is copied into architected memory; @p prog may die.
-     *  Executes on the process-default backend unless setBackend is
-     *  called. */
+     *  image is copied into architected memory; @p prog may die. */
     explicit SeqMachine(const Program &prog);
 
     ~SeqMachine();
@@ -73,14 +73,10 @@ class SeqMachine final : public ExecContext
           observer_(other.observer_),
           inst_count_(other.inst_count_),
           halted_(other.halted_),
-          faulted_(other.faulted_),
-          backend_(other.backend_)
+          faulted_(other.faulted_)
     {}
 
-    /** Select the execution tier. */
-    void setBackend(BackendKind kind) { backend_ = kind; }
-
-    /** The block cache, when the blockjit tier has run (tests). */
+    /** The block cache, once an unobserved run has made one (tests). */
     const BlockJit *blockJit() const { return jit_.get(); }
 
     /**
@@ -89,9 +85,9 @@ class SeqMachine final : public ExecContext
      *
      * Supervised runs: when a Supervision is installed on the calling
      * thread (sim/supervisor.hh SupervisionScope), execution proceeds
-     * in bounded engine slices on whichever backend tier is selected,
-     * polling the budget between slices and throwing StatusError on a
-     * trip — always at a slice boundary, so the machine stays
+     * in bounded run-loop slices (observed or not), polling the
+     * budget between slices and throwing StatusError on a trip —
+     * always at a slice boundary, so the machine stays
      * architecturally consistent and resumable (clear the token and
      * call run() again to continue). The instruction cap is exact:
      * slices clamp to the budget's remainder. Unsupervised runs take
@@ -99,7 +95,7 @@ class SeqMachine final : public ExecContext
      */
     SeqRunResult run(uint64_t max_insts);
 
-    /** Execute exactly one instruction. */
+    /** Execute exactly one instruction (reference semantics). */
     StepResult step();
 
     ArchState &state() { return state_; }
@@ -156,7 +152,8 @@ class SeqMachine final : public ExecContext
     /** Bookkeeping shared by step() and the batched run loop. */
     void applyStep(const StepResult &res);
 
-    /** The unsupervised run body (the historical hot path). */
+    /** The unsupervised run body: blockjit, or step() per
+     *  instruction when observed. */
     SeqRunResult runLoop(uint64_t max_insts);
 
     ArchState state_;
@@ -167,8 +164,7 @@ class SeqMachine final : public ExecContext
     uint64_t inst_count_ = 0;
     bool halted_ = false;
     bool faulted_ = false;
-    BackendKind backend_ = defaultBackend();
-    std::unique_ptr<BlockJit> jit_;  ///< lazy; only on the blockjit tier
+    std::unique_ptr<BlockJit> jit_;  ///< lazy; first unobserved run
 };
 
 } // namespace mssp

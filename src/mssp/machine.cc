@@ -463,7 +463,7 @@ MsspMachine::tickMaster()
     while (master_budget_ >= 1.0 && master_.running()) {
         if (!master_.atFork()) {
             // Between forks the master runs a whole budget's worth of
-            // instructions on the execution tier in one slice; the
+            // instructions on the reference engine in one slice; the
             // engine stops in front of the next FORK so the capacity
             // gate below still sees every spawn attempt.
             auto avail = static_cast<unsigned>(master_budget_);

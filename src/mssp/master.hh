@@ -25,9 +25,9 @@
 #include "arch/mmio.hh"
 #include "arch/state_delta.hh"
 #include "distill/distiller.hh"
-#include "exec/backend.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
+#include "exec/engine.hh"
 #include "exec/executor.hh"
 #include "sim/logging.hh"
 
@@ -130,8 +130,8 @@ class MasterCore final : public ExecContext
     }
 
     /**
-     * Execute up to @p max_steps instructions on the selected
-     * execution tier, stopping *in front of* the first FORK (the
+     * Execute up to @p max_steps instructions on the reference
+     * engine, stopping *in front of* the first FORK (the
      * machine must gate fork capacity before step() executes it).
      * Counters update exactly as per-step execution would.
      *

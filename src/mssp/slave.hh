@@ -24,9 +24,9 @@
 
 #include "arch/arch_state.hh"
 #include "arch/mmio.hh"
-#include "exec/backend.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
+#include "exec/engine.hh"
 #include "exec/executor.hh"
 #include "mssp/config.hh"
 #include "mssp/fork_sites.hh"
@@ -246,12 +246,12 @@ class SlaveCore
 
     /**
      * Per-step obligations of task execution, expressed as a hook on
-     * the reference engine (exec/backend.hh). Ordering mirrors the historical inline
-     * loop exactly: MMIO aborts discard the step, halt ends the task
-     * with the pc pinned, then arch-read stalls, end-condition
-     * arrivals, fork-site pauses and the runaway cap — the last three
-     * on the *post-step* pc, and all of them after the instruction
-     * retires.
+     * the reference engine (exec/engine.hh). Ordering mirrors the
+     * historical inline loop exactly: MMIO aborts discard the step,
+     * halt ends the task with the pc pinned, then arch-read stalls,
+     * end-condition arrivals, fork-site pauses and the runaway cap —
+     * the last three on the *post-step* pc, and all of them after the
+     * instruction retires.
      */
     struct SlaveHook
     {

@@ -2,9 +2,9 @@
 
 #include "arch/arch_state.hh"
 #include "arch/mmio.hh"
-#include "exec/backend.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
+#include "exec/engine.hh"
 #include "exec/executor.hh"
 
 namespace mssp

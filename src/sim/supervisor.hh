@@ -14,8 +14,8 @@
  *    clock + executed-instruction cap + retired-work cap) plus a
  *    cooperative cancel flag. Machines poll the *thread-local current
  *    supervision* (SupervisionScope) at architecturally consistent
- *    boundaries — SeqMachine between bounded engine slices on every
- *    backend tier, MsspMachine every 1024 machine cycles — and throw
+ *    boundaries — SeqMachine between bounded engine slices,
+ *    MsspMachine every 1024 machine cycles — and throw
  *    StatusError on a trip. Because the poll sites are consistent
  *    points, a cancelled machine is state-clean: it can be inspected
  *    or resumed. With no scope installed the machines pay one
@@ -29,11 +29,9 @@
  *    time or scheduling), and a job that exhausts its attempts is
  *    *quarantined*: its structured Status lands in a QuarantineReport
  *    and every healthy result is still returned. All failures are
- *    surfaced, not just the lowest-indexed one; the legacy
- *    rethrow-first behavior survives behind
- *    SupervisorOptions::rethrowFirstFailure for unmigrated callers.
- *    Everything is keyed on canonical job indices, so reports are
- *    byte-identical for --jobs N vs --jobs 1.
+ *    surfaced, not just the lowest-indexed one. Everything is keyed
+ *    on canonical job indices, so reports are byte-identical for
+ *    --jobs N vs --jobs 1.
  *
  *  - JobChaosHook: the seam where fault/hostchaos.hh injects
  *    deterministic worker stalls, job exceptions, and spurious
@@ -236,11 +234,6 @@ struct SupervisorOptions
     uint64_t seed = 1;
     /** Optional host-chaos injector (non-owning). */
     JobChaosHook *chaos = nullptr;
-    /** Compat flag (pre-quarantine behavior): after the batch drains,
-     *  rethrow the lowest-indexed failure as StatusError instead of
-     *  quarantining — sim/parallel.hh's historical contract. New
-     *  callers should leave this off and consume the report. */
-    bool rethrowFirstFailure = false;
 };
 
 /** One quarantined job: which, after how many strikes, and why. */
@@ -383,8 +376,6 @@ runSupervised(unsigned jobs,
         const JobOutcome<R> &out = result.outcomes[i];
         if (out.status.ok())
             continue;
-        if (opts.rethrowFirstFailure)
-            throw StatusError(out.status);
         result.quarantine.entries.push_back(
             {i,
              i < labels.size() ? labels[i] : strfmt("job %zu", i),

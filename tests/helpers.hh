@@ -120,6 +120,17 @@ runAndCheck(const std::string &ref_src, const std::string &train_src,
     return result;
 }
 
+/**
+ * Installing this on a SeqMachine moves it from its unobserved run
+ * path (blockjit) to the observed one: step() per instruction, i.e.
+ * executeDecodedOn, the reference semantics. Tests use the observed
+ * path as the oracle for the unobserved one.
+ */
+struct NoopObserver final : SeqMachine::Observer
+{
+    void onStep(uint32_t, const StepResult &) override {}
+};
+
 } // namespace mssp::test
 
 #endif // MSSP_TESTS_HELPERS_HH

@@ -1,13 +1,14 @@
 /**
  * @file
- * Differential fuzz gate for the tiered execution backends.
+ * Differential fuzz gate for the blockjit engine.
  *
- * Every random program family seed runs in lockstep on both tiers
- * (ref / blockjit); the final architectural state — halt/fault flags,
- * retire counts, outputs, pc, every register, instret and the full
- * nonzero memory image — must be byte-identical. ref is the semantic
- * oracle (exec/backend.hh); any divergence is a bug in blockjit, never
- * acceptable.
+ * Every random program family seed runs in lockstep on SeqMachine's
+ * two run paths: unobserved (blockjit) and observed (per-step
+ * executeDecodedOn, the reference semantics). The final architectural
+ * state — halt/fault flags, retire counts, outputs, pc, every
+ * register, instret and the full nonzero memory image — must be
+ * byte-identical. The observed path is the oracle (exec/engine.hh);
+ * any divergence is a bug in blockjit, never acceptable.
  *
  * Runs 25 seeds by default (fast enough for ctest); the full gate is
  *   MSSP_FUZZ_ITERS=500 ./test_backend_fuzz
@@ -20,6 +21,7 @@
 
 #include "asm/assembler.hh"
 #include "exec/seq_machine.hh"
+#include "helpers.hh"
 #include "sim/logging.hh"
 #include "workloads/random_program.hh"
 
@@ -27,9 +29,6 @@ namespace mssp
 {
 namespace
 {
-
-constexpr BackendKind kTiers[] = {BackendKind::Ref,
-                                  BackendKind::BlockJit};
 
 unsigned
 fuzzIters()
@@ -57,10 +56,12 @@ struct SeqFingerprint
 };
 
 SeqFingerprint
-runSeqOn(const Program &prog, BackendKind tier, uint64_t max_insts)
+runSeqOn(const Program &prog, bool observed, uint64_t max_insts)
 {
+    test::NoopObserver noop;
     SeqMachine m(prog);
-    m.setBackend(tier);
+    if (observed)
+        m.setObserver(&noop);
     m.run(max_insts);
     SeqFingerprint fp;
     fp.halted = m.halted();
@@ -76,10 +77,8 @@ runSeqOn(const Program &prog, BackendKind tier, uint64_t max_insts)
 }
 
 void
-expectIdentical(const SeqFingerprint &ref, const SeqFingerprint &got,
-                BackendKind tier)
+expectIdentical(const SeqFingerprint &ref, const SeqFingerprint &got)
 {
-    SCOPED_TRACE(strfmt("tier %s", backendName(tier)));
     EXPECT_EQ(ref.halted, got.halted);
     EXPECT_EQ(ref.faulted, got.faulted);
     EXPECT_EQ(ref.instCount, got.instCount);
@@ -98,60 +97,54 @@ lockstepSeeds(const RandomProgramOptions &opts, uint64_t seed_base,
         SCOPED_TRACE(strfmt("seed %llu",
                             static_cast<unsigned long long>(seed)));
         Program prog = assemble(randomProgramSource(seed, opts));
-        SeqFingerprint ref =
-            runSeqOn(prog, BackendKind::Ref, 10000000);
+        SeqFingerprint ref = runSeqOn(prog, /*observed=*/true, 10000000);
         EXPECT_TRUE(ref.halted || ref.faulted);
-        expectIdentical(
-            ref, runSeqOn(prog, BackendKind::BlockJit, 10000000),
-            BackendKind::BlockJit);
+        expectIdentical(ref, runSeqOn(prog, /*observed=*/false, 10000000));
     }
 }
 
 } // anonymous namespace
 
-TEST(BackendFuzz, TiersRetireIdenticalArchitecturalState)
+TEST(BackendFuzz, BlockJitRetiresIdenticalArchitecturalState)
 {
     lockstepSeeds({}, 1, fuzzIters());
 }
 
-TEST(BackendFuzz, TiersAgreeOnMmioPrograms)
+TEST(BackendFuzz, BlockJitAgreesOnMmioPrograms)
 {
-    // Non-idempotent device reads and MMIO-port writes: the blockjit
-    // tier must not fuse, reorder or replay device accesses.
+    // Non-idempotent device reads and MMIO-port writes: blockjit
+    // must not fuse, reorder or replay device accesses.
     RandomProgramOptions opts;
     opts.allowMmio = true;
     lockstepSeeds(opts, 1000, fuzzIters());
 }
 
-TEST(BackendFuzz, TiersAgreeUnderTightBudgets)
+TEST(BackendFuzz, BlockJitAgreesUnderTightBudgets)
 {
-    // Re-running a machine in small budget slices forces the blockjit
-    // tier through its deopt path (block longer than the remaining
-    // budget) at every slice boundary; the retire counts must still
-    // line up exactly with the oracle's.
+    // Re-running a machine in small budget slices forces blockjit
+    // through its deopt path (block longer than the remaining budget)
+    // at every slice boundary; the retire counts must still line up
+    // exactly with the oracle's.
     unsigned iters = std::min(fuzzIters(), 10u);
     for (uint64_t seed = 1; seed <= iters; ++seed) {
         SCOPED_TRACE(strfmt("seed %llu",
                             static_cast<unsigned long long>(seed)));
         Program prog = assemble(randomProgramSource(seed));
-        for (BackendKind tier : kTiers) {
-            SCOPED_TRACE(backendName(tier));
-            SeqMachine oracle(prog);
-            oracle.setBackend(BackendKind::Ref);
-            oracle.run(1000000);
-            SeqMachine sliced(prog);
-            sliced.setBackend(tier);
-            uint64_t total = 0;
-            while (!sliced.halted() && !sliced.faulted() &&
-                   total < 1000000) {
-                auto r = sliced.run(7);
-                total += r.instCount;
-            }
-            EXPECT_EQ(oracle.halted(), sliced.halted());
-            EXPECT_EQ(oracle.instCount(), sliced.instCount());
-            EXPECT_EQ(oracle.outputs(), sliced.outputs());
-            EXPECT_EQ(oracle.state().pc(), sliced.state().pc());
+        test::NoopObserver noop;
+        SeqMachine oracle(prog);
+        oracle.setObserver(&noop);
+        oracle.run(1000000);
+        SeqMachine sliced(prog);
+        uint64_t total = 0;
+        while (!sliced.halted() && !sliced.faulted() &&
+               total < 1000000) {
+            auto r = sliced.run(7);
+            total += r.instCount;
         }
+        EXPECT_EQ(oracle.halted(), sliced.halted());
+        EXPECT_EQ(oracle.instCount(), sliced.instCount());
+        EXPECT_EQ(oracle.outputs(), sliced.outputs());
+        EXPECT_EQ(oracle.state().pc(), sliced.state().pc());
     }
 }
 

@@ -10,11 +10,13 @@
 #include "exec/blockjit.hh"
 #include "exec/executor.hh"
 #include "exec/seq_machine.hh"
+#include "helpers.hh"
 
 namespace mssp
 {
 namespace
 {
+
 
 /** Run a source program on SEQ and return the machine. */
 SeqMachine
@@ -271,32 +273,19 @@ TEST(Exec, EvalAluHelper)
 }
 
 // ---------------------------------------------------------------------
-// Tiered execution backends (exec/backend.hh)
+// Execution engines (exec/engine.hh, exec/blockjit.hh) and
+// SeqMachine's two run paths
 // ---------------------------------------------------------------------
 
-constexpr BackendKind kAllTiers[] = {BackendKind::Ref,
-                                     BackendKind::BlockJit};
-
-TEST(Backend, NamesRoundTrip)
-{
-    for (BackendKind kind : kAllTiers) {
-        auto parsed = backendFromName(backendName(kind));
-        ASSERT_TRUE(parsed.has_value()) << backendName(kind);
-        EXPECT_EQ(*parsed, kind);
-    }
-    EXPECT_FALSE(backendFromName("jit").has_value());
-    EXPECT_FALSE(backendFromName("").has_value());
-    EXPECT_FALSE(backendFromName("REF").has_value());
-    EXPECT_FALSE(backendFromName("threaded").has_value());
-}
-
-TEST(Backend, RunRespectsMaxInstsOnEveryTier)
+TEST(Backend, RunRespectsMaxInstsOnEveryRunPath)
 {
     Program p = assemble("loop: j loop\n");
-    for (BackendKind kind : kAllTiers) {
-        SCOPED_TRACE(backendName(kind));
+    test::NoopObserver noop;
+    for (bool observed : {false, true}) {
+        SCOPED_TRACE(observed ? "observed" : "unobserved");
         SeqMachine m(p);
-        m.setBackend(kind);
+        if (observed)
+            m.setObserver(&noop);
         auto r = m.run(100);
         EXPECT_FALSE(r.halted);
         EXPECT_FALSE(r.faulted);
@@ -307,10 +296,10 @@ TEST(Backend, RunRespectsMaxInstsOnEveryTier)
     }
 }
 
-TEST(Backend, TiersAgreeOnFaultingProgram)
+TEST(Backend, RunPathsAgreeOnFaultingProgram)
 {
-    // The fault pc and retire count must be pinned identically; the
-    // blockjit tier must deopt rather than retire past the fault.
+    // The fault pc and retire count must be pinned identically;
+    // blockjit must deopt rather than retire past the fault.
     const std::string src =
         "    li t0, 20\n"
         "loop:\n"
@@ -319,14 +308,16 @@ TEST(Backend, TiersAgreeOnFaultingProgram)
         "    j nowhere\n"       // falls into unmapped zero words
         "nowhere:\n";
     Program p = assemble(src);
+    test::NoopObserver noop;
     SeqMachine ref(p);
-    ref.setBackend(BackendKind::Ref);
+    ref.setObserver(&noop);
     ref.run(100000);
     ASSERT_TRUE(ref.faulted());
-    for (BackendKind kind : kAllTiers) {
-        SCOPED_TRACE(backendName(kind));
+    for (bool observed : {false, true}) {
+        SCOPED_TRACE(observed ? "observed" : "unobserved");
         SeqMachine m(p);
-        m.setBackend(kind);
+        if (observed)
+            m.setObserver(&noop);
         m.run(100000);
         EXPECT_TRUE(m.faulted());
         EXPECT_EQ(m.state().pc(), ref.state().pc());
@@ -335,7 +326,7 @@ TEST(Backend, TiersAgreeOnFaultingProgram)
     }
 }
 
-TEST(Backend, TiersAgreeOnMmio)
+TEST(Backend, RunPathsAgreeOnMmio)
 {
     // The MMIO counter is non-idempotent and MMIO writes emit
     // outputs: any replayed or skipped device access diverges.
@@ -349,15 +340,17 @@ TEST(Backend, TiersAgreeOnMmio)
         "    bnez t2, loop\n"
         "    halt\n";
     Program p = assemble(src);
+    test::NoopObserver noop;
     SeqMachine ref(p);
-    ref.setBackend(BackendKind::Ref);
+    ref.setObserver(&noop);
     ref.run(100000);
     ASSERT_TRUE(ref.halted());
     ASSERT_EQ(ref.outputs().size(), 5u);
-    for (BackendKind kind : kAllTiers) {
-        SCOPED_TRACE(backendName(kind));
+    for (bool observed : {false, true}) {
+        SCOPED_TRACE(observed ? "observed" : "unobserved");
         SeqMachine m(p);
-        m.setBackend(kind);
+        if (observed)
+            m.setObserver(&noop);
         m.run(100000);
         EXPECT_TRUE(m.halted());
         EXPECT_EQ(m.outputs(), ref.outputs());
@@ -368,8 +361,9 @@ TEST(Backend, TiersAgreeOnMmio)
 TEST(Backend, BlockJitCompilesHotLoops)
 {
     // 200 iterations of a 3-instruction loop is far past the heat
-    // threshold: the tier must actually enter compiled blocks (the
-    // whole point of blockjit), not silently single-step everything.
+    // threshold: an unobserved run must actually enter compiled
+    // blocks (the whole point of blockjit), not silently single-step
+    // everything.
     Program p = assemble(
         "    li t0, 200\n"
         "loop:\n"
@@ -377,7 +371,6 @@ TEST(Backend, BlockJitCompilesHotLoops)
         "    bnez t0, loop\n"
         "    halt\n");
     SeqMachine m(p);
-    m.setBackend(BackendKind::BlockJit);
     m.run(100000);
     ASSERT_TRUE(m.halted());
     ASSERT_NE(m.blockJit(), nullptr);
@@ -417,12 +410,12 @@ class FlatCtx final : public ExecContext
     ArchState state_;
 };
 
-TEST(Backend, InvalidateFlushesCompiledBlocksOnEveryTier)
+TEST(Backend, InvalidateFlushesCompiledBlocksOnBothEngines)
 {
     // Runtime patching (the fault-injection surface): after
-    // DecodeCache::invalidate, *every* tier must execute the patched
-    // instruction — the blockjit tier through its version flush, not
-    // a stale superop block. 100 iterations at +1, patch the body to
+    // DecodeCache::invalidate, *both* engines must execute the patched
+    // instruction — blockjit through its version flush, not a stale
+    // superop block. 100 iterations at +1, patch the body to
     // +2 mid-run, 100 more iterations: t0 must end at exactly 300.
     const std::string src_a =
         "    li t0, 0\n"          // entry+0
@@ -444,17 +437,16 @@ TEST(Backend, InvalidateFlushesCompiledBlocksOnEveryTier)
         "    halt\n";
     Program patched_word_src = assemble(src_b);
 
-    for (BackendKind kind : kAllTiers) {
-        SCOPED_TRACE(backendName(kind));
+    for (bool use_jit : {false, true}) {
+        SCOPED_TRACE(use_jit ? "blockjit" : "ref");
         Program prog = assemble(src_a);
         const uint32_t entry = prog.entry();
         DecodeCache dc(prog);
         FlatCtx ctx(prog);
         BlockJit jit(dc);
         auto runOn = [&](uint32_t pc, uint64_t max_steps) {
-            return kind == BackendKind::BlockJit
-                       ? jit.run(pc, max_steps, ctx)
-                       : runRefEngine(dc, pc, max_steps, ctx);
+            return use_jit ? jit.run(pc, max_steps, ctx)
+                           : runRefEngine(dc, pc, max_steps, ctx);
         };
 
         // First half: exactly 100 iterations (2 setup + 3 per iter),
@@ -463,7 +455,7 @@ TEST(Backend, InvalidateFlushesCompiledBlocksOnEveryTier)
         ASSERT_EQ(er.status, StepStatus::Ok);
         ASSERT_EQ(er.retired, 2u + 3u * 100u);
         ASSERT_EQ(er.pc, entry + 2);   // back at the loop head
-        if (kind == BackendKind::BlockJit) {
+        if (use_jit) {
             ASSERT_GT(jit.blocksEntered(), 0u);
         }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the job supervision runtime (sim/supervisor.hh): budget
- * trips on every execution tier, state-clean cancellation and resume,
+ * trips on both SeqMachine run paths, state-clean cancellation and resume,
  * exact instruction caps, deterministic retry backoff, quarantine
  * collection, and host-chaos determinism (fault/hostchaos.hh).
  */
@@ -30,23 +30,22 @@ const char *kSpinSource =
     "    addi s0, s0, 1\n"
     "    j loop\n";
 
-constexpr BackendKind kTiers[] = {BackendKind::Ref,
-                                  BackendKind::BlockJit};
-
-TEST(Supervision, DeadlineTripsMidRunOnEveryTier)
+TEST(Supervision, DeadlineTripsMidRunOnEveryRunPath)
 {
     Program prog = assemble(kSpinSource);
-    for (BackendKind tier : kTiers) {
+    test::NoopObserver noop;
+    for (bool observed : {false, true}) {
         SeqMachine machine(prog);
-        machine.setBackend(tier);
+        if (observed)
+            machine.setObserver(&noop);
         JobBudget budget;
         budget.timeoutMs = 30;
         Supervision sup(budget);
         SupervisionScope scope(&sup);
         try {
             machine.run(1ull << 40);
-            FAIL() << "deadline never tripped on tier "
-                   << static_cast<int>(tier);
+            FAIL() << "deadline never tripped on the "
+                   << (observed ? "observed" : "unobserved") << " path";
         } catch (const StatusError &e) {
             EXPECT_EQ(e.status().code(), StatusCode::DeadlineExceeded);
         }
@@ -226,23 +225,6 @@ TEST(Supervision, QuarantineCollectsEveryFailure)
 
     // The byte-determinism contract: --jobs N == --jobs 1.
     EXPECT_EQ(sharded.quarantine.toJson(), serial.quarantine.toJson());
-}
-
-TEST(Supervision, RethrowFirstFailureCompatMode)
-{
-    SupervisorOptions opts;
-    opts.retry.backoffBaseUs = 1;
-    opts.retry.backoffMaxUs = 2;
-    opts.rethrowFirstFailure = true;
-    try {
-        runSupervised<int>(4, flakyBatch(), opts);
-        FAIL() << "compat mode must rethrow";
-    } catch (const StatusError &e) {
-        // The lowest-indexed failure (job 1), like the historical
-        // ThreadPool::run contract.
-        EXPECT_NE(std::string(e.what()).find("job one"),
-                  std::string::npos);
-    }
 }
 
 TEST(HostChaos, DeterministicAcrossShardCounts)

@@ -12,7 +12,6 @@
 # Every optional gate has a skip knob (set to 1 to skip):
 #
 #   MSSP_SKIP_TIDY        clang-tidy tree-wide pass
-#   MSSP_SKIP_BACKENDS    backend tier smoke + differential fuzz
 #   MSSP_SKIP_SPECSAFE    speculation-safety sweep (sharded vs serial)
 #   MSSP_SKIP_SPECPLAN    speculation-plan sweep (sharded vs serial)
 #   MSSP_SKIP_SPECULATE   value-speculation distill/adapt/lint gate
@@ -139,26 +138,6 @@ if [[ $noent_rc -ne 3 || "$noent_out" != *'"mssp-specplan-v1"'* ]]; then
     exit 1
 fi
 echo "JSON error documents emitted on usage/read failures, as specified"
-
-if [[ "${MSSP_SKIP_BACKENDS:-0}" == "1" ]]; then
-    echo "== skipping backend smoke (MSSP_SKIP_BACKENDS=1)"
-else
-    # The two execution tiers must retire identical architectural
-    # results (DESIGN.md §11): diff a smoke run across both, then run
-    # the differential fuzz gate at its default seed range.
-    echo "== backend smoke (ref vs blockjit)"
-    for be in ref blockjit; do
-        build/tools/mssp-run "$tmp/prog.s" --backend "$be" \
-            > "$tmp/run-$be.out"
-    done
-    if ! cmp -s "$tmp/run-ref.out" "$tmp/run-blockjit.out"; then
-        echo "check.sh: --backend blockjit output differs from ref:" >&2
-        diff "$tmp/run-ref.out" "$tmp/run-blockjit.out" >&2 || true
-        exit 1
-    fi
-    build/tests/test_backend_fuzz
-    echo "backend tiers agree (smoke + fuzz gate)"
-fi
 
 if [[ "${MSSP_SKIP_SPECSAFE:-0}" == "1" ]]; then
     echo "== skipping specsafe gate (MSSP_SKIP_SPECSAFE=1)"

@@ -5,7 +5,7 @@
  *   mssp-run prog.{s,mo} [--mssp dist.mdo] [--slaves N]
  *            [--fork-latency N] [--commit-latency N] [--stats]
  *            [--site-stats] [--max-cycles N] [--compare]
- *            [--backend TIER] [--timeout-ms N] [--max-insts N]
+ *            [--timeout-ms N] [--max-insts N]
  *
  * With --mssp, runs the MSSP machine using the given distilled
  * object; --compare additionally runs the sequential oracle and
@@ -15,10 +15,9 @@
  * static fork site with forked/committed/squash counts split by
  * squash reason and the resulting squash rate.
  *
- * --backend selects the SEQ execution tier (ref | blockjit; see
- * src/exec/backend.hh) and overrides the MSSP_EXEC_BACKEND environment
- * default. The MSSP machine's cores run on ref whatever the tier.
- * Architectural results are tier-invariant.
+ * The sequential run executes on blockjit and the MSSP machine's
+ * cores on ref (src/exec/engine.hh); architectural results are the
+ * same on either engine.
  *
  * --timeout-ms / --max-insts arm a whole-invocation budget
  * (sim/supervisor.hh; env defaults MSSP_JOB_TIMEOUT_MS /
@@ -95,15 +94,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-insts" && i + 1 < argc) {
             budget.maxInsts =
                 static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--backend" && i + 1 < argc) {
-            auto kind = backendFromName(argv[++i]);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "mssp-run: unknown backend '%s' "
-                             "(ref | blockjit)\n", argv[i]);
-                return 2;
-            }
-            setDefaultBackend(*kind);
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--site-stats") {
@@ -119,7 +109,6 @@ main(int argc, char **argv)
                          "[--fork-latency N] [--commit-latency N] "
                          "[--max-cycles N] [--stats] [--site-stats] "
                          "[--compare] "
-                         "[--backend ref|blockjit] "
                          "[--timeout-ms N] [--max-insts N]\n");
             return 2;
         }

@@ -11,7 +11,6 @@
  *   mssp-suite [--workloads gzip,mcf,...] [--scale F] [--seed N]
  *              [--jobs N] [--intensities 1,10] [--max-cycles N]
  *              [--run-max-cycles N] [--json FILE] [--quiet]
- *              [--backend ref|blockjit]
  *              [--timeout-ms N] [--max-insts N] [--retries N]
  *              [--chaos SEED]
  *
@@ -30,10 +29,6 @@
  * the suite sharded, reruns it with --jobs 1, and diffs the bytes
  * (wall-clock-deadline quarantines excepted — they are host-timing
  * dependent by nature).
- *
- * --backend selects the SEQ execution tier (src/exec/backend.hh) and
- * overrides the MSSP_EXEC_BACKEND environment default; the report is
- * byte-identical on either tier.
  */
 
 #include <algorithm>
@@ -45,7 +40,6 @@
 #include <vector>
 
 #include "eval/suite.hh"
-#include "exec/backend.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "util/string_utils.hh"
@@ -75,7 +69,6 @@ usage()
         "                  [--seed N] [--jobs N] [--intensities 1,10]\n"
         "                  [--max-cycles N] [--run-max-cycles N]\n"
         "                  [--json FILE] [--quiet]\n"
-        "                  [--backend ref|blockjit]\n"
         "                  [--timeout-ms N] [--max-insts N]\n"
         "                  [--retries N] [--chaos SEED]\n");
     return 2;
@@ -113,18 +106,6 @@ main(int argc, char **argv)
         } else if (arg == "--run-max-cycles" && i + 1 < argc) {
             opts.runMaxCycles =
                 static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--backend" && i + 1 < argc) {
-            auto kind = backendFromName(argv[++i]);
-            if (!kind) {
-                std::fprintf(stderr,
-                             "mssp-suite: unknown backend '%s' "
-                             "(ref | blockjit)\n", argv[i]);
-                return 2;
-            }
-            // Every SeqMachine the suite constructs (on any worker
-            // thread) snapshots this process-wide default; the MSSP
-            // machine's cores always run on ref.
-            setDefaultBackend(*kind);
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
             opts.jobBudget.timeoutMs =
                 static_cast<uint64_t>(std::atoll(argv[++i]));
