@@ -14,7 +14,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/mssp_api.hh"
+#include "fault/campaign.hh"
+#include "fault/fault.hh"
 #include "sim/logging.hh"
 #include "workloads/workloads.hh"
 
@@ -98,28 +102,57 @@ BM_Distiller(benchmark::State &state)
 }
 BENCHMARK(BM_Distiller);
 
+/** What BM_MsspMachine runs on the bench workload. */
+enum class MachineCase
+{
+    Base,         ///< paper-preset image, default config
+    Speculated,   ///< value-speculated image, default config
+    /** Campaign config under seeded spawn-drop + slave-stall plans:
+     *  watchdog squashes, arch stalls and the Seq fallback. */
+    Faults,
+};
+
 void
-BM_MsspMachine(benchmark::State &state, bool speculate)
+BM_MsspMachine(benchmark::State &state, MachineCase mcase)
 {
     setQuiet(true);
     PreparedWorkload p = prepare(benchWorkload().refSource,
                                  benchWorkload().trainSource,
                                  DistillerOptions::paperPreset());
-    if (speculate)
+    if (mcase == MachineCase::Speculated)
         p.dist = distillSpeculated(p.orig, p.profile,
                                    DistillerOptions::paperPreset(),
                                    SpeculateOptions{});
+    MsspConfig cfg;
+    std::vector<FaultPlan> plans;
+    if (mcase == MachineCase::Faults) {
+        cfg = campaignConfig();
+        // Intensity 10, as the campaigns' stress cells.
+        for (FaultType t : {FaultType::SpawnDrop, FaultType::SlaveStall}) {
+            FaultPlan plan;
+            plan.type = t;
+            plan.rate = faultBaseRate(t) * 10.0;
+            plans.push_back(plan);
+        }
+    }
     uint64_t insts = 0;
     uint64_t per_run = 0;
     uint64_t cycles = 0;
     MsspCounters counters;
+    EpochStats epochs;
     for (auto _ : state) {
-        MsspMachine machine(p.orig, p.dist, MsspConfig{});
+        MsspMachine machine(p.orig, p.dist, cfg);
+        std::optional<FaultInjector> injector;
+        if (!plans.empty()) {
+            injector.emplace(1, plans);
+            machine.setFaultInjector(&*injector);
+        }
         MsspResult r = machine.run(100000000ull);
         insts += r.committedInsts;
         per_run = r.committedInsts;
         cycles = r.cycles;
         counters = machine.counters();
+        epochs = machine.epochStats();
         benchmark::DoNotOptimize(r.cycles);
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
@@ -133,12 +166,22 @@ BM_MsspMachine(benchmark::State &state, bool speculate)
         state.counters[std::string("sim_") + name] =
             static_cast<double>(v);
     });
-    if (speculate)
+    if (mcase == MachineCase::Speculated)
         state.counters["sim_baked"] =
             static_cast<double>(p.dist.specEdits.size());
+    // How the host advanced the machine (not gated: no sim_ prefix).
+    state.counters["epoch_cycles_mean"] =
+        epochs.epochs ? static_cast<double>(epochs.batchedCycles) /
+                            static_cast<double>(epochs.epochs)
+                      : 0.0;
+    state.counters["batched_cycle_share"] =
+        cycles ? static_cast<double>(epochs.batchedCycles) /
+                     static_cast<double>(cycles)
+               : 0.0;
 }
-BENCHMARK_CAPTURE(BM_MsspMachine, base, false);
-BENCHMARK_CAPTURE(BM_MsspMachine, speculated, true);
+BENCHMARK_CAPTURE(BM_MsspMachine, base, MachineCase::Base);
+BENCHMARK_CAPTURE(BM_MsspMachine, speculated, MachineCase::Speculated);
+BENCHMARK_CAPTURE(BM_MsspMachine, faults, MachineCase::Faults);
 
 void
 BM_Assembler(benchmark::State &state)

@@ -16,7 +16,10 @@ double
 faultBaseRate(FaultType t)
 {
     // Per-opportunity grains differ wildly: a fork happens once per
-    // ~100 instructions, a machine cycle every cycle. These bases are
+    // ~100 instructions, a machine cycle every cycle ("per cycle":
+    // each cycle the Spec-mode master runs; "per task cyc": each cycle
+    // per slave holding an unfinished task, paused or stalled ones
+    // included — see FaultPlan::rate). These bases are
     // tuned so intensity 1 perturbs a few percent of opportunities
     // and intensity 10 is a sustained assault that still recovers.
     switch (t) {
@@ -26,8 +29,8 @@ faultBaseRate(FaultType t)
       case FaultType::MasterPcCorrupt:   return 0.0002;   // per cycle
       case FaultType::SpawnDelay:        return 0.1;      // per fork
       case FaultType::SpawnDrop:         return 0.02;     // per fork
-      case FaultType::SlaveStall:        return 0.001;    // per busy cyc
-      case FaultType::SlaveKill:         return 0.0005;   // per busy cyc
+      case FaultType::SlaveStall:        return 0.001;    // per task cyc
+      case FaultType::SlaveKill:         return 0.0005;   // per task cyc
       case FaultType::SpuriousSquash:    return 0.01;     // per commit
       case FaultType::ImagePatch:        return 0.0001;   // per cycle
       case FaultType::None:              break;

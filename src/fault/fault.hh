@@ -78,8 +78,11 @@ struct FaultPlan
     FaultType type = FaultType::None;
     /** Bernoulli probability per opportunity. The opportunity grain
      *  is per fork (checkpoint/live-in/spawn faults), per commit
-     *  attempt (spurious squash), per machine cycle (master faults,
-     *  image patch) or per busy-slave cycle (stall/kill). */
+     *  attempt (spurious squash), per cycle the Spec-mode master runs
+     *  (master faults, image patch) or per cycle per slave holding an
+     *  unfinished task, paused or stalled ones included (stall/kill).
+     *  An armed per-cycle plan makes each of its draw cycles an event
+     *  for the machine's epoch rule (DESIGN.md §8). */
     double rate = 0.0;
     uint64_t seed = 1;
     /** Restrict to one target (slave id for slave faults, register
@@ -176,7 +179,8 @@ class FaultInjector
     // -- Slave hook -------------------------------------------------------
 
     /**
-     * Per-busy-slave-cycle draw. @p kill_task is set when the slave
+     * Draw for one slave holding an unfinished task (running, paused
+     * or stalled) on one cycle. @p kill_task is set when the slave
      * must drop its task mid-flight (the task then never completes
      * and the watchdog recovers it).
      *

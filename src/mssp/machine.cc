@@ -360,8 +360,8 @@ MsspMachine::tickSpawnDelivery()
 {
     while (!arrived_.empty()) {
         auto idle = std::find_if(slaves_.begin(), slaves_.end(),
-                                 [](const SlaveCore &s) {
-                                     return s.idle();
+                                 [this](const SlaveCore &s) {
+                                     return s.idle() && !s.aheadOf(now_);
                                  });
         if (idle == slaves_.end())
             return;
@@ -429,6 +429,8 @@ MsspMachine::tickSlaves()
     if (injector_)
         injectSlaveFaults();
     for (auto &slave : slaves_) {
+        if (slave.aheadOf(now_))
+            continue;
         unsigned executed = slave.tick();
         ctrs_.slaveInsts += executed;
         // Free the slave as soon as its task is complete: the task's
@@ -446,7 +448,7 @@ MsspMachine::tickMaster()
         return;
     if (injector_)
         injectMasterFaults();
-    if (cfg_.masterRunawayInsts > 0 && master_.running() &&
+    if (cfg_.masterRunawayInsts > 0 &&
         master_.instsSinceRestart() - master_insts_at_last_fork_ >
             cfg_.masterRunawayInsts) {
         // The master is burning instructions without forking (e.g. a
@@ -546,13 +548,9 @@ MsspMachine::tickMaster()
     }
 }
 
-void
-MsspMachine::tickSeq()
+uint64_t
+MsspMachine::runSeqSlice(uint64_t max_attempts, bool *engage)
 {
-    if (mode_ != Mode::Seq)
-        return;
-    ++ctrs_.seqModeCycles;
-    seq_budget_ += cfg_.slaveIpc;
     SeqArchContext ctx(arch_, device_, outputs_);
 
     // Per-step obligations (instret, backoff countdowns, the
@@ -584,24 +582,36 @@ MsspMachine::tickSeq()
         }
     };
 
+    SeqHook hook{*this};
+    EngineResult er =
+        runRefEngine(orig_decode_, arch_.pc(), max_attempts, ctx, hook);
+    arch_.setPc(er.pc);
+    *engage = hook.engage;
+    if (er.status == StepStatus::Illegal) {
+        faulted_ = true;
+        return er.retired + 1;   // the faulting attempt took a slot
+    }
+    if (er.status == StepStatus::Halted)
+        halted_ = true;
+    return er.retired;
+}
+
+void
+MsspMachine::tickSeq()
+{
+    if (mode_ != Mode::Seq)
+        return;
+    ++ctrs_.seqModeCycles;
+    seq_budget_ += cfg_.slaveIpc;
+
     while (seq_budget_ >= 1.0 && !halted_ && !faulted_) {
-        auto avail = static_cast<uint64_t>(seq_budget_);
-        SeqHook hook{*this};
-        EngineResult er =
-            runRefEngine(orig_decode_, arch_.pc(), avail, ctx, hook);
+        bool engage = false;
         // The budget counts attempts: a faulting one consumed a slot.
-        seq_budget_ -= static_cast<double>(
-            er.retired + (er.status == StepStatus::Illegal ? 1 : 0));
-        arch_.setPc(er.pc);
-        if (er.status == StepStatus::Illegal) {
-            faulted_ = true;
+        seq_budget_ -= static_cast<double>(runSeqSlice(
+            static_cast<uint64_t>(seq_budget_), &engage));
+        if (halted_ || faulted_)
             return;
-        }
-        if (er.status == StepStatus::Halted) {
-            halted_ = true;
-            return;
-        }
-        if (hook.engage) {
+        if (engage) {
             engageMaster();
             if (mode_ == Mode::Spec)
                 return;
@@ -635,14 +645,246 @@ MsspMachine::checkWatchdog()
     }
 }
 
+void
+MsspMachine::stepCycle()
+{
+    // Fork delivery (in transit for forkLatency cycles; FIFO by
+    // construction since the latency is fixed).
+    while (!spawn_queue_.empty() && spawn_queue_.front().due <= now_) {
+        arrived_.push_back(spawn_queue_.front().task);
+        spawn_queue_.pop_front();
+    }
+    if (mode_ == Mode::Restarting && now_ >= restart_at_)
+        engageMaster();
+    // Per-cycle units are guarded here so the common cases (empty
+    // window, head task still running, idle delivery queue) cost
+    // a branch, not a call.
+    if (!window_.empty() && now_ >= commit_busy_until_ &&
+        window_.front()->done()) {
+        tickCommit();
+        if (halted_ || faulted_)
+            return;
+    }
+    if (!arrived_.empty())
+        tickSpawnDelivery();
+    tickSlaves();
+    if (mode_ == Mode::Spec) {
+        tickMaster();
+        if (!master_.running() && window_.empty() &&
+            spawn_queue_.empty() && arrived_.empty()) {
+            // Dead master (halted/faulted/runaway-killed), empty
+            // pipeline: nothing can ever commit, so restart now
+            // instead of sitting out the watchdog. Counts as an
+            // engage failure — a master that dies right after
+            // every restart must escalate into Seq backoff, not
+            // spin restart/die forever.
+            noteMasterDead();
+        } else {
+            checkWatchdog();
+        }
+    } else if (mode_ == Mode::Seq) {
+        tickSeq();
+    }
+    ++now_;
+}
+
+bool
+MsspMachine::epochFallback(EpochFallback *reason)
+{
+    if (cfg_.masterIpc != 1.0 || cfg_.slaveIpc != 1.0) {
+        // Budgets then carry fractions from cycle to cycle.
+        *reason = EpochFallback::Ipc;
+        return true;
+    }
+    if (injector_) {
+        bool master_draws =
+            mode_ == Mode::Spec && master_.running() &&
+            (injector_->armed(FaultType::MasterRegFlip) ||
+             injector_->armed(FaultType::MasterPcCorrupt) ||
+             injector_->armed(FaultType::ImagePatch));
+        bool slave_draws = false;
+        if (injector_->armed(FaultType::SlaveKill) ||
+            injector_->armed(FaultType::SlaveStall)) {
+            for (SlaveCore &slave : slaves_) {
+                if (Task *t = slave.task(); t && !t->done())
+                    slave_draws = true;
+            }
+        }
+        if (master_draws || slave_draws) {
+            *reason = EpochFallback::FaultDraws;
+            return true;
+        }
+    }
+    if (!arrived_.empty()) {
+        // A slave freed mid-span would take the task at once.
+        *reason = EpochFallback::Undelivered;
+        return true;
+    }
+    if (!window_.empty()) {
+        // A running head whose end the master has yet to reveal can
+        // finish (and commit) or wait on the master's next fork:
+        // neither core may then run first.
+        const Task &head = *window_.front();
+        if (!head.endKnown && !head.runToHalt && head.slaveId >= 0 &&
+            slaves_[static_cast<size_t>(head.slaveId)].task() == &head) {
+            *reason = EpochFallback::OpenHead;
+            return true;
+        }
+    }
+    return false;
+}
+
+Cycle
+MsspMachine::staticHorizon(Cycle max_cycles, bool polled) const
+{
+    Cycle h = max_cycles;
+    if (polled)
+        h = std::min(h, (now_ + 1023) & ~Cycle{1023});
+    if (!spawn_queue_.empty())
+        h = std::min(h, spawn_queue_.front().due);
+    if (mode_ == Mode::Restarting)
+        h = std::min(h, restart_at_);
+    if (mode_ == Mode::Spec)
+        h = std::min(h, last_commit_cycle_ + cfg_.watchdogCycles + 1);
+    if (!window_.empty() && window_.front()->done())
+        h = std::min(h, std::max(now_, commit_busy_until_));
+    return h;
+}
+
+void
+MsspMachine::advanceSlaves(Cycle until)
+{
+    for (SlaveCore &slave : slaves_) {
+        Cycle from = std::max(now_, slave.readyAt());
+        uint64_t executed = 0;
+        while (from < until)
+            from += slave.advance(until - from, &executed);
+        ctrs_.slaveInsts += executed;
+    }
+}
+
+void
+MsspMachine::advanceSeqEpoch(Cycle horizon)
+{
+    // Seq mode runs with an empty window: every slave is idle, so the
+    // fallback executes alone against architected state.
+    bool engage = false;
+    Cycle used = runSeqSlice(horizon - now_, &engage);
+    ctrs_.seqModeCycles += used;
+    advanceSlaves(now_ + used);
+    now_ += used;
+    if (engage && !halted_ && !faulted_) {
+        // The re-engage check belongs to the slice's last cycle.
+        --now_;
+        engageMaster();
+        ++now_;
+    }
+}
+
+void
+MsspMachine::advanceEpoch(Cycle max_cycles, bool polled)
+{
+    EpochFallback reason;
+    if (epochFallback(&reason)) {
+        ++epoch_stats_.fallbacks[static_cast<size_t>(reason)];
+        return;
+    }
+    Cycle horizon = staticHorizon(max_cycles, polled);
+    if (horizon <= now_)
+        return;
+    Cycle start = now_;
+
+    if (mode_ == Mode::Seq) {
+        advanceSeqEpoch(horizon);
+    } else if (mode_ == Mode::Restarting) {
+        advanceSlaves(horizon);
+        now_ = horizon;
+    } else {
+        // 1. The head task, when its end is final: nothing the master
+        // or other slaves do before it completes can reach it, so it
+        // may run ahead of the others; its completion at cycle c puts
+        // the commit attempt at max(c + 1, commit_busy_until_).
+        if (!window_.empty()) {
+            Task &head = *window_.front();
+            if (!head.done() && head.slaveId >= 0) {
+                SlaveCore &slave =
+                    slaves_[static_cast<size_t>(head.slaveId)];
+                Cycle from = std::max(now_, slave.readyAt());
+                if (slave.task() == &head && from < horizon) {
+                    uint64_t executed = 0;
+                    Cycle ran = slave.advance(horizon - from, &executed);
+                    ctrs_.slaveInsts += executed;
+                    slave.setReadyAt(from + ran);
+                    if (head.done()) {
+                        commit_busy_until_ =
+                            std::max(commit_busy_until_, from + ran);
+                        horizon = std::min(horizon, commit_busy_until_);
+                    }
+                }
+            }
+        }
+
+        // 2. The master, up to its next spawning FORK, HALT, fault or
+        // runaway kill: each is handled by stepCycle at that cycle.
+        bool stalled = false;
+        if (master_.running()) {
+            uint64_t since_fork =
+                master_.instsSinceRestart() - master_insts_at_last_fork_;
+            if (cfg_.masterRunawayInsts > 0) {
+                if (since_fork > cfg_.masterRunawayInsts)
+                    horizon = now_;   // the kill-switch trips now
+                else
+                    horizon = std::min(horizon,
+                                       now_ + cfg_.masterRunawayInsts -
+                                           since_fork + 1);
+            }
+            // In front of a spawning FORK with the window full, the
+            // master stalls until a commit or squash.
+            stalled = window_.size() >= cfg_.maxInFlightTasks &&
+                      master_.nextForkWouldSpawn();
+            if (!stalled && horizon > now_) {
+                uint64_t ran = master_.runToEvent(horizon - now_);
+                ctrs_.masterInsts += ran;
+                horizon = now_ + ran;
+            }
+        } else {
+            // stepCycle restarts a dead master in the very cycle its
+            // pipeline drains, so one is never left to an epoch.
+            MSSP_ASSERT(!window_.empty() || !spawn_queue_.empty());
+        }
+        if (stalled)
+            ctrs_.masterStallWindowFull += horizon - now_;
+
+        // 3. Every other slave, up to the horizon.
+        advanceSlaves(horizon);
+        now_ = horizon;
+    }
+    if (now_ > start) {
+        ++epoch_stats_.epochs;
+        epoch_stats_.batchedCycles += now_ - start;
+    }
+}
+
 MsspResult
 MsspMachine::run(uint64_t max_cycles)
 {
+    return runLoop(max_cycles, true);
+}
+
+MsspResult
+MsspMachine::runCycleStepped(uint64_t max_cycles)
+{
+    return runLoop(max_cycles, false);
+}
+
+MsspResult
+MsspMachine::runLoop(uint64_t max_cycles, bool batched)
+{
     // Job supervision (sim/supervisor.hh): polled every 1024 cycles
-    // at the top of the cycle loop — a consistent point, so a budget
-    // trip throws with all speculative and architected state intact
-    // (the machine can be inspected or resumed). Unsupervised runs
-    // pay one null test per cycle.
+    // at the top of a cycle — a consistent point, so a budget trip
+    // throws with all speculative and architected state intact (the
+    // machine can be inspected or resumed). Epoch steps end at every
+    // poll cycle, so batching never moves a poll.
     Supervision *sup = currentSupervision();
     uint64_t sup_exec = 0;
     uint64_t sup_commit = 0;
@@ -652,6 +894,11 @@ MsspMachine::run(uint64_t max_cycles)
         sup_commit = arch_.instret();
     }
     while (now_ < max_cycles && !halted_ && !faulted_) {
+        if (batched) {
+            advanceEpoch(max_cycles, sup != nullptr);
+            if (now_ >= max_cycles || halted_ || faulted_)
+                break;
+        }
         if (sup && (now_ & 1023) == 0) {
             sup->checkOrThrow();
             uint64_t exec = ctrs_.masterInsts + ctrs_.slaveInsts +
@@ -661,44 +908,7 @@ MsspMachine::run(uint64_t max_cycles)
             sup_exec = exec;
             sup_commit = commit;
         }
-        // Fork delivery (in transit for forkLatency cycles; FIFO by
-        // construction since the latency is fixed).
-        while (!spawn_queue_.empty() && spawn_queue_.front().due <= now_) {
-            arrived_.push_back(spawn_queue_.front().task);
-            spawn_queue_.pop_front();
-        }
-        if (mode_ == Mode::Restarting && now_ >= restart_at_)
-            engageMaster();
-        // Per-cycle units are guarded here so the common cases (empty
-        // window, head task still running, idle delivery queue) cost
-        // a branch, not a call (this loop runs once per cycle).
-        if (!window_.empty() && now_ >= commit_busy_until_ &&
-            window_.front()->done()) {
-            tickCommit();
-            if (halted_ || faulted_)
-                break;
-        }
-        if (!arrived_.empty())
-            tickSpawnDelivery();
-        tickSlaves();
-        if (mode_ == Mode::Spec) {
-            tickMaster();
-            if (!master_.running() && window_.empty() &&
-                spawn_queue_.empty() && arrived_.empty()) {
-                // Dead master (halted/faulted/runaway-killed), empty
-                // pipeline: nothing can ever commit, so restart now
-                // instead of sitting out the watchdog. Counts as an
-                // engage failure — a master that dies right after
-                // every restart must escalate into Seq backoff, not
-                // spin restart/die forever.
-                noteMasterDead();
-            } else {
-                checkWatchdog();
-            }
-        } else if (mode_ == Mode::Seq) {
-            tickSeq();
-        }
-        ++now_;
+        stepCycle();
     }
 
     MsspResult result;

@@ -26,6 +26,7 @@
 #ifndef MSSP_MSSP_MACHINE_HH
 #define MSSP_MSSP_MACHINE_HH
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -108,6 +109,39 @@ struct MsspResult
     std::map<uint32_t, ForkSiteStat> siteStats;
 };
 
+/** Why an epoch step fell back to the cycle-stepped loop. */
+enum class EpochFallback : uint8_t
+{
+    Ipc,          ///< masterIpc or slaveIpc is not 1.0
+    FaultDraws,   ///< a per-cycle fault plan draws this cycle
+    Undelivered,  ///< a spawned task is still waiting for a slave
+    OpenHead,     ///< the running head task's end is still unknown
+};
+
+constexpr size_t NumEpochFallbacks = 4;
+
+/**
+ * Host-side counts of the epoch rule (DESIGN.md §8). Deliberately
+ * outside MSSP_COUNTERS: they describe how the simulator advanced,
+ * not what the simulated machine did, so no output byte depends on
+ * them.
+ */
+struct EpochStats
+{
+    /** Epoch steps that advanced at least one cycle. */
+    uint64_t epochs = 0;
+    /** Cycles those steps advanced (the rest went through stepCycle). */
+    uint64_t batchedCycles = 0;
+    /** Epoch steps refused, by reason. */
+    std::array<uint64_t, NumEpochFallbacks> fallbacks{};
+
+    uint64_t
+    fallback(EpochFallback r) const
+    {
+        return fallbacks[static_cast<size_t>(r)];
+    }
+};
+
 /** The full MSSP chip-multiprocessor model. */
 class MsspMachine
 {
@@ -129,8 +163,23 @@ class MsspMachine
      * between cycles, so the machine stays consistent and resumable.
      * Executed work is charged as master + slave + seq-mode
      * instructions; retired work as architected instret.
+     *
+     * Between cross-core events the machine advances every core in
+     * one slice up to the next event (the epoch rule, DESIGN.md §8);
+     * the result is cycle-identical to runCycleStepped().
      */
     MsspResult run(uint64_t max_cycles);
+
+    /**
+     * The reference semantics of run(): one stepCycle() per simulated
+     * cycle, nothing batched. Exists so tests can hold run() to it in
+     * lockstep (tests/test_machine_epochs.cpp); it is several times
+     * slower.
+     */
+    MsspResult runCycleStepped(uint64_t max_cycles);
+
+    /** How run() advanced so far (host-side; see EpochStats). */
+    const EpochStats &epochStats() const { return epoch_stats_; }
 
     const ArchState &arch() const { return arch_; }
     const MsspConfig &config() const { return cfg_; }
@@ -168,6 +217,33 @@ class MsspMachine
 
   private:
     enum class Mode : uint8_t { Spec, Seq, Restarting };
+
+    /** Shared loop of run() and runCycleStepped(). */
+    MsspResult runLoop(uint64_t max_cycles, bool batched);
+    /** Simulate cycle now_ unit by unit and advance now_ (not when a
+     *  commit halts or faults the program: the run ends at now_). */
+    void stepCycle();
+    /**
+     * The epoch step: when batching is exact, advance every core
+     * through [now_, E) in one slice each, E being the next cycle at
+     * which anything crosses cores, and set now_ = E. Leaves now_
+     * unchanged when cycle now_ itself is an event or a fallback
+     * applies. @p polled: a supervision poll is due every 1024 cycles.
+     */
+    void advanceEpoch(Cycle max_cycles, bool polled);
+    /** The reason batching cannot be exact at now_, if any. */
+    bool epochFallback(EpochFallback *reason);
+    /** The earliest event known before any core runs. */
+    Cycle staticHorizon(Cycle max_cycles, bool polled) const;
+    /** Seq-mode epoch: one slice up to @p horizon, ending early at a
+     *  re-engage point or the end of the program. */
+    void advanceSeqEpoch(Cycle horizon);
+    /** One Seq-mode engine slice of at most @p max_attempts attempts
+     *  on architected state. Sets halted_/faulted_ and @p engage (a
+     *  re-engage point is next); returns the attempts spent. */
+    uint64_t runSeqSlice(uint64_t max_attempts, bool *engage);
+    /** Advance every slave not yet at @p until up to it. */
+    void advanceSlaves(Cycle until);
 
     void tickCommit();
     void tickSpawnDelivery();
@@ -212,7 +288,8 @@ class MsspMachine
      *  and the sequential fallback (code is immutable). */
     DecodeCache orig_decode_{orig_};
     ForkSiteSet fork_site_pcs_;
-    /** Slaves live by value: tickSlaves walks them every cycle. */
+    /** Slaves live by value: stepCycle ticks each one, and an epoch
+     *  step advances each one in a single slice. */
     std::vector<SlaveCore> slaves_;
 
     std::deque<std::unique_ptr<Task>> window_;   ///< fork order
@@ -237,6 +314,9 @@ class MsspMachine
     Mode mode_ = Mode::Restarting;
     Cycle restart_at_ = 0;
     Cycle now_ = 0;
+    /** First cycle the commit unit may act on the head task: its
+     *  occupancy after the last commit, or, when an epoch ran the head
+     *  ahead to completion at cycle c, c + 1. */
     Cycle commit_busy_until_ = 0;
     Cycle last_commit_cycle_ = 0;
     unsigned engage_failures_ = 0;
@@ -260,6 +340,8 @@ class MsspMachine
     bool halted_ = false;
     bool faulted_ = false;
     uint64_t next_task_id_ = 1;
+
+    EpochStats epoch_stats_;
 
     OutputStream outputs_;
     /** The machine's own counts; the slave sums are left at zero here

@@ -9,7 +9,7 @@ MasterStep
 MasterCore::runSlice(unsigned max_steps, unsigned *executed)
 {
     MSSP_ASSERT(running());
-    SliceHook hook{*this};
+    SliceHook<false> hook{*this};
     EngineResult er = runRefEngine(decode_, pc_, max_steps, *this, hook);
     pc_ = er.pc;
     total_insts_ += er.retired;
@@ -24,6 +24,21 @@ MasterCore::runSlice(unsigned max_steps, unsigned *executed)
         return MasterStep::Halted;
     }
     return MasterStep::Executed;  // in front of a FORK, or budget out
+}
+
+uint64_t
+MasterCore::runToEvent(uint64_t max_steps)
+{
+    MSSP_ASSERT(running());
+    SliceHook<true> hook{*this};
+    EngineResult er = runRefEngine(decode_, pc_, max_steps, *this, hook);
+    // A faulting attempt has no effect on master state (illegal words
+    // and failing ALU ops only read registers), so stopping on it
+    // leaves the master in front of the fault, pc pinned there.
+    pc_ = er.pc;
+    total_insts_ += er.retired;
+    insts_since_restart_ += er.retired;
+    return er.retired;
 }
 
 bool
@@ -53,8 +68,12 @@ MasterCore::nextForkWouldSpawn()
     if (!running())
         return false;
     const Instruction &inst = decode_.at(pc_);
-    if (inst.op != Opcode::Fork)
-        return false;
+    return inst.op == Opcode::Fork && forkWouldSpawn(inst);
+}
+
+bool
+MasterCore::forkWouldSpawn(const Instruction &inst) const
+{
     if (first_fork_pending_)
         return true;
     auto idx = static_cast<uint32_t>(inst.imm);

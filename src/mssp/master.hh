@@ -141,6 +141,21 @@ class MasterCore final : public ExecContext
      */
     MasterStep runSlice(unsigned max_steps, unsigned *executed);
 
+    /**
+     * Epoch form of runSlice: execute up to @p max_steps instructions
+     * but stop *in front of* every instruction that is an event for
+     * the machine — a FORK that spawns (or is corrupt), a HALT, or an
+     * attempt that would fault (an illegal word, a failing ALU op, a
+     * JALR into unmapped original code). The master is left exactly
+     * as before that instruction, so the machine's per-cycle step
+     * executes it. A FORK that only counts an arrival runs inline,
+     * exactly as step() would run it.
+     *
+     * @return instructions retired (== max_steps unless an event
+     *         instruction is next)
+     */
+    uint64_t runToEvent(uint64_t max_steps);
+
     /** @return true when the next instruction is a FORK (the one
      *  case runSlice cannot make progress on). */
     bool atFork() { return decode_.at(pc_).op == Opcode::Fork; }
@@ -254,9 +269,43 @@ class MasterCore final : public ExecContext
      *  distilled image. @retval false when there is no mapping. */
     bool translateJalr(StepResult &res);
 
+    /** True when FORK @p inst would spawn a task now (false for a
+     *  corrupt FORK, which faults instead). */
+    bool forkWouldSpawn(const Instruction &inst) const;
+
+    /** True when FORK @p inst only counts an arrival: a valid site
+     *  whose spawn interval has not run out. */
+    bool
+    forkIsSilent(const Instruction &inst) const
+    {
+        return static_cast<uint32_t>(inst.imm) < dist_.taskMap.size() &&
+               !forkWouldSpawn(inst);
+    }
+
+    /** The effect of a silent FORK, as stepFork applies it. */
+    void
+    countSilentFork(const Instruction &inst)
+    {
+        bumpSiteArrivals(dist_.taskMap[static_cast<uint32_t>(inst.imm)]);
+        ++forks_seen_since_spawn_;
+    }
+
+    /** True when a JALR at the current state would jump into
+     *  original code the address map cannot translate. */
+    bool
+    jalrWouldFault(const Instruction &inst) const
+    {
+        uint32_t target = (inst.rs1 ? regs_[inst.rs1] : 0) +
+                          static_cast<uint32_t>(inst.imm);
+        return target < DistilledCodeBase && !dist_.addrMap.count(target);
+    }
+
     /** Engine hook for runSlice: stop in front of FORKs, apply the
      *  jalr translation, and fault (Discard) when it has no mapping —
-     *  byte-identical to the per-step step() path. */
+     *  byte-identical to the per-step step() path. ToEvent
+     *  (runToEvent) runs silent FORKs inline instead, and also stops
+     *  in front of HALTs and untranslatable JALRs. */
+    template <bool ToEvent>
     struct SliceHook
     {
         MasterCore &m;
@@ -264,11 +313,29 @@ class MasterCore final : public ExecContext
 
         bool preStep(uint32_t, const Instruction &inst)
         {
+            if constexpr (ToEvent) {
+                switch (inst.op) {
+                  case Opcode::Halt:
+                    return false;
+                  case Opcode::Jalr:
+                    return !m.jalrWouldFault(inst);
+                  case Opcode::Fork:
+                    return m.forkIsSilent(inst);
+                  default:
+                    return true;
+                }
+            }
             return inst.op != Opcode::Fork;
         }
 
         StepVerdict postStep(uint32_t, StepResult &res)
         {
+            if constexpr (ToEvent) {
+                if (res.inst.op == Opcode::Fork) {
+                    m.countSilentFork(res.inst);
+                    return StepVerdict::Continue;
+                }
+            }
             if (res.status == StepStatus::Ok &&
                 res.inst.op == Opcode::Jalr &&
                 res.nextPc < DistilledCodeBase && !m.translateJalr(res)) {

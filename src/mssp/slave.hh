@@ -19,6 +19,7 @@
 #ifndef MSSP_MSSP_SLAVE_HH
 #define MSSP_MSSP_SLAVE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -160,6 +161,14 @@ class SlaveCore
 
     bool idle() const { return task_ == nullptr; }
     Task *task() { return task_; }
+    /** True while this slave has been simulated past cycle @p now (an
+     *  epoch ran the head task ahead to its completion): the machine
+     *  neither ticks it nor hands it a task until time catches up. */
+    bool aheadOf(Cycle now) const { return ready_at_ > now; }
+    /** First cycle this slave has not yet simulated (meaningful only
+     *  while aheadOf() holds). */
+    Cycle readyAt() const { return ready_at_; }
+    void setReadyAt(Cycle c) { ready_at_ = c; }
     int id() const { return id_; }
 
     /** Begin executing @p task (it must be freshly spawned). */
@@ -184,8 +193,8 @@ class SlaveCore
      * Advance one cycle. Executes up to slaveIpc instructions,
      * honoring arch-read stalls and fork-site pauses.
      *
-     * The idle case inlines into the machine's slave loop (most
-     * slaves are idle most cycles); the execute path is out of line.
+     * Used for the cycles in which something crosses cores; between
+     * such events the machine calls advance() instead.
      *
      * @return instructions executed this cycle (for stats)
      */
@@ -213,6 +222,20 @@ class SlaveCore
         return tickActive();
     }
 
+    /**
+     * Advance up to @p cycles cycles in one engine slice, exactly as
+     * that many tick() calls at slaveIpc 1.0 with no fault draws, each
+     * followed by the machine's release of a completed task, would.
+     * Nothing another core does may reach this slave in that span
+     * (the machine's epoch rule, DESIGN.md §8). Stops after the cycle
+     * in which the task completes, releasing it; an idle or paused
+     * slave absorbs all the cycles in bulk.
+     *
+     * @param executed incremented by the instructions retired
+     * @return the cycles simulated
+     */
+    Cycle advance(Cycle cycles, uint64_t *executed);
+
     /** Fault-injection surface: freeze this core for @p n extra
      *  cycles, as a stalled or flaky core would (timing-only; the
      *  verify/commit unit never learns the difference). */
@@ -237,8 +260,8 @@ class SlaveCore
     uint64_t idleCycles() const { return idle_cycles_; }
 
   private:
-    /** The non-idle part of tick() (inline: once per busy slave per
-     *  cycle, and the call sits on the machine's innermost loop). */
+    /** The non-idle part of tick() (inline: stepCycle calls it once
+     *  per busy slave). */
     unsigned tickActive();
 
     /** Re-check pause/end conditions when new end info arrives. */
@@ -252,12 +275,19 @@ class SlaveCore
      * end-condition arrivals, fork-site pauses and the runaway cap —
      * the last three on the *post-step* pc, and all of them after the
      * instruction retires.
+     *
+     * Batched (advance()): every attempt costs one cycle of
+     * cyclesLeft, and an arch-read stall that ends nothing else is
+     * sat out in place instead of ending the slice.
      */
+    template <bool Batched>
     struct SlaveHook
     {
         SlaveCore &s;
         Task &t;
         TaskContext &ctx;
+        /** Cycles still to simulate (Batched only). */
+        Cycle cyclesLeft = 0;
         /** Attempted steps (retired + MMIO-discarded); budget is
          *  charged per attempt, as the historical loop did. */
         uint64_t attempts = 0;
@@ -265,6 +295,11 @@ class SlaveCore
         bool
         preStep(uint32_t, const Instruction &)
         {
+            if constexpr (Batched) {
+                if (cyclesLeft == 0)
+                    return false;
+                --cyclesLeft;
+            }
             ctx.beginStep();
             return true;
         }
@@ -310,9 +345,25 @@ class SlaveCore
                 t.end = TaskEnd::Overrun;
                 return StepVerdict::Stop;
             }
+            if constexpr (Batched) {
+                if (v == StepVerdict::Stop)
+                    cyclesLeft -= s.sitOutStall(cyclesLeft);
+                return StepVerdict::Continue;
+            }
             return v;
         }
     };
+
+    /** Spend up to @p cycles of the pending arch-read stall; returns
+     *  the cycles spent. */
+    Cycle
+    sitOutStall(Cycle cycles)
+    {
+        Cycle n = std::min(stall_, cycles);
+        stall_ -= n;
+        arch_stall_cycles_ += n;
+        return n;
+    }
 
     int id_;
     const ArchState &arch_;
@@ -324,6 +375,7 @@ class SlaveCore
     std::unique_ptr<Cache> l1_;
     double budget_ = 0.0;
     Cycle stall_ = 0;
+    Cycle ready_at_ = 0;
 
     uint64_t arch_stall_cycles_ = 0;
     uint64_t pause_cycles_ = 0;
@@ -365,7 +417,7 @@ SlaveCore::tickActive()
 
     budget_ += cfg_.slaveIpc;
     TaskContext ctx(t, arch_, l1_.get());
-    SlaveHook hook{*this, t, ctx};
+    SlaveHook<false> hook{*this, t, ctx};
 
     // One engine slice, budgeted in *attempted* steps: MMIO-discarded
     // and faulting attempts consume budget without retiring, exactly
@@ -379,6 +431,50 @@ SlaveCore::tickActive()
     if (er.status == StepStatus::Illegal)
         t.end = TaskEnd::Faulted;
     return static_cast<unsigned>(er.retired);
+}
+
+inline Cycle
+SlaveCore::advance(Cycle cycles, uint64_t *executed)
+{
+    Cycle used = 0;
+    while (used < cycles) {
+        if (!task_) {
+            idle_cycles_ += cycles - used;
+            return cycles;
+        }
+        Task &t = *task_;
+        if (stall_ > 0) {
+            used += sitOutStall(cycles - used);
+            continue;
+        }
+        if (t.pausedAtForkSite) {
+            refreshEndCondition();
+            if (t.pausedAtForkSite) {
+                // Only a master fork or halt can reveal the end, and
+                // neither happens inside the span.
+                pause_cycles_ += cycles - used;
+                return cycles;
+            }
+            if (t.done()) {
+                release();
+                return used + 1;
+            }
+        }
+        TaskContext ctx(t, arch_, l1_.get());
+        SlaveHook<true> hook{*this, t, ctx, cycles - used};
+        EngineResult er =
+            runRefEngine(decode_, t.pc, UINT64_MAX, ctx, hook);
+        used = cycles - hook.cyclesLeft;
+        *executed += er.retired;
+        t.pc = er.pc;
+        if (er.status == StepStatus::Illegal)
+            t.end = TaskEnd::Faulted;
+        if (t.done()) {
+            release();
+            return used;
+        }
+    }
+    return used;
 }
 
 } // namespace mssp
