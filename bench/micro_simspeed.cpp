@@ -110,14 +110,21 @@ enum class MachineCase
     /** Campaign config under seeded spawn-drop + slave-stall plans:
      *  watchdog squashes, arch stalls and the Seq fallback. */
     Faults,
+    /** The bzip2 analogue, whose master write buffer is large: the
+     *  parser workload forks ~9-cell checkpoints, this one ~510 on
+     *  average (0.26 is the smallest scale keeping the mean >= 500),
+     *  so fork cost shows up in the timing. */
+    BigCheckpoint,
 };
 
 void
 BM_MsspMachine(benchmark::State &state, MachineCase mcase)
 {
     setQuiet(true);
-    PreparedWorkload p = prepare(benchWorkload().refSource,
-                                 benchWorkload().trainSource,
+    static const Workload big_ckpt = workloadByName("bzip2", 0.26);
+    const Workload &wl =
+        mcase == MachineCase::BigCheckpoint ? big_ckpt : benchWorkload();
+    PreparedWorkload p = prepare(wl.refSource, wl.trainSource,
                                  DistillerOptions::paperPreset());
     if (mcase == MachineCase::Speculated)
         p.dist = distillSpeculated(p.orig, p.profile,
@@ -138,6 +145,7 @@ BM_MsspMachine(benchmark::State &state, MachineCase mcase)
     uint64_t insts = 0;
     uint64_t per_run = 0;
     uint64_t cycles = 0;
+    double ckpt_cells = 0.0;
     MsspCounters counters;
     EpochStats epochs;
     for (auto _ : state) {
@@ -153,6 +161,7 @@ BM_MsspMachine(benchmark::State &state, MachineCase mcase)
         cycles = r.cycles;
         counters = machine.counters();
         epochs = machine.epochStats();
+        ckpt_cells = machine.meanCheckpointCells();
         benchmark::DoNotOptimize(r.cycles);
     }
     state.SetItemsProcessed(static_cast<int64_t>(insts));
@@ -178,10 +187,14 @@ BM_MsspMachine(benchmark::State &state, MachineCase mcase)
         cycles ? static_cast<double>(epochs.batchedCycles) /
                      static_cast<double>(cycles)
                : 0.0;
+    // Mean checkpoint size (informational: bigckpt's scale is chosen
+    // to keep it at 500 cells or more).
+    state.counters["checkpoint_cells_mean"] = ckpt_cells;
 }
 BENCHMARK_CAPTURE(BM_MsspMachine, base, MachineCase::Base);
 BENCHMARK_CAPTURE(BM_MsspMachine, speculated, MachineCase::Speculated);
 BENCHMARK_CAPTURE(BM_MsspMachine, faults, MachineCase::Faults);
+BENCHMARK_CAPTURE(BM_MsspMachine, bigckpt, MachineCase::BigCheckpoint);
 
 void
 BM_Assembler(benchmark::State &state)

@@ -77,48 +77,43 @@ FaultInjector::FaultInjector(uint64_t seed, std::vector<FaultPlan> plans)
     }
 }
 
-std::shared_ptr<const StateDelta>
-FaultInjector::corruptCheckpoint(const StateDelta &ckpt)
+void
+FaultInjector::corruptCheckpoint(Checkpoint &ckpt)
 {
-    // Draw both checkpoint fault classes up front; bail cheaply when
-    // neither fires. LiveInFlip needs an existing binding to flip, so
-    // its draw is gated on a non-empty checkpoint (an injection that
-    // could not corrupt anything must not count as fired).
+    // Draw both checkpoint fault classes up front. LiveInFlip needs
+    // an existing binding to flip, so its draw is gated on a non-empty
+    // checkpoint (an injection that could not corrupt anything must
+    // not count as fired). A drawn index picks a cell in cell-sorted
+    // order, so the pick does not depend on how the checkpoint is
+    // stored.
     bool corrupt = fire(FaultType::CheckpointCorrupt);
     bool flip = !ckpt.empty() && fire(FaultType::LiveInFlip);
-    if (!corrupt && !flip)
-        return nullptr;
-
-    auto bad = std::make_shared<StateDelta>(ckpt);
     if (corrupt) {
         // 50/50: insert a bogus prediction, or drop a real one. A
         // dropped cell degrades to an architected read-through (the
         // prediction is *missing*, not wrong); an inserted cell is a
         // wrong prediction the verify unit must catch if consumed.
-        if (bad->empty() || (rng_.next() & 1)) {
+        if (ckpt.empty() || (rng_.next() & 1)) {
             CellId cell = (rng_.next() & 1)
                 ? makeRegCell(1 + static_cast<unsigned>(
                       rng_.below(NumRegs - 1)))
                 : makeMemCell(word() & ~0x3u);
-            bad->set(cell, word());
+            ckpt.set(cell, word());
         } else {
-            std::vector<StateDelta::value_type> cells = bad->sorted();
-            bad->erase(cells[rng_.below(cells.size())].first);
+            ckpt.erase(ckpt.nth(rng_.below(ckpt.size())).first);
         }
     }
     if (flip) {
-        std::vector<StateDelta::value_type> cells = bad->sorted();
-        if (cells.empty()) {
+        if (ckpt.empty()) {
             // CheckpointCorrupt just dropped the last cell: nothing
             // left to flip; un-count the granted flip.
             --counters_.injected[static_cast<size_t>(
                 FaultType::LiveInFlip)];
         } else {
-            const auto &[cell, value] = cells[rng_.below(cells.size())];
-            bad->set(cell, value ^ bit32());
+            const auto [cell, value] = ckpt.nth(rng_.below(ckpt.size()));
+            ckpt.set(cell, value ^ bit32());
         }
     }
-    return bad;
 }
 
 Cycle

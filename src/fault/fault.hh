@@ -32,12 +32,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "arch/state_delta.hh"
+#include "mssp/checkpoint.hh"
 #include "sim/cycle.hh"
 #include "sim/rng.hh"
 
@@ -154,12 +153,11 @@ class FaultInjector
 
     /**
      * Checkpoint faults (CheckpointCorrupt + LiveInFlip) for a task
-     * being forked with checkpoint @p ckpt.
-     *
-     * @return a corrupted replacement, or nullptr when untouched.
+     * being forked with checkpoint @p ckpt, applied to it in place
+     * (a checkpoint's edits are its own; the master's journal is
+     * never touched).
      */
-    std::shared_ptr<const StateDelta>
-    corruptCheckpoint(const StateDelta &ckpt);
+    void corruptCheckpoint(Checkpoint &ckpt);
 
     // -- Spawn-delivery hook ----------------------------------------------
 

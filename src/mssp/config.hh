@@ -85,8 +85,9 @@ struct MsspConfig
     /** Upper bound on the sequential backoff. */
     uint64_t maxSeqBackoffInsts = 1 << 20;
 
-    /** Sweep the master write-delta against architected state when it
-     *  grows beyond this many cells (keeps checkpoints small). */
+    /** Sweep the master's write buffer against architected state
+     *  after each commit while it holds more than this many cells
+     *  (keeps checkpoints small). */
     size_t checkpointSweepCells = 4096;
 
     std::string toString() const;

@@ -352,6 +352,9 @@ MsspMachine::recycleTask(std::unique_ptr<Task> task)
 {
     // Stale contents are harmless: allocTask() resets on reuse (so
     // references held through commit/squash teardown stay readable).
+    // The checkpoint goes now, though: the master's restart() reuses
+    // its journal's storage only when no checkpoint refers to it.
+    task->checkpoint = Checkpoint{};
     task_pool_.push_back(std::move(task));
 }
 
@@ -508,14 +511,11 @@ MsspMachine::tickMaster()
             std::unique_ptr<Task> task = allocTask();
             task->id = next_task_id_++;
             task->startPc = fi.origPc;
-            task->checkpoint = fi.checkpoint;
-            if (injector_) {
-                if (auto bad = injector_->corruptCheckpoint(
-                        *fi.checkpoint))
-                    task->checkpoint = std::move(bad);
-            }
+            task->checkpoint = std::move(fi.checkpoint);
+            if (injector_)
+                injector_->corruptCheckpoint(task->checkpoint);
             checkpoint_dist_.sample(
-                static_cast<double>(task->checkpoint->size()));
+                static_cast<double>(task->checkpoint.size()));
             Task *raw = task.get();
             window_.push_back(std::move(task));
             ++ctrs_.tasksForked;
@@ -548,7 +548,10 @@ MsspMachine::tickMaster()
     }
 }
 
-uint64_t
+// hot + aligned for the same layout-stability reason as
+// executeDecodedOn (exec/executor.hh): the Seq fallback's engine loop
+// is inlined here.
+__attribute__((hot, aligned(64))) uint64_t
 MsspMachine::runSeqSlice(uint64_t max_attempts, bool *engage)
 {
     SeqArchContext ctx(arch_, device_, outputs_);
@@ -935,6 +938,12 @@ double
 MsspMachine::meanTaskSize() const
 {
     return task_size_dist_.mean();
+}
+
+double
+MsspMachine::meanCheckpointCells() const
+{
+    return checkpoint_dist_.mean();
 }
 
 MsspCounters

@@ -193,6 +193,9 @@ class MsspMachine
     /** Mean committed task size in instructions. */
     double meanTaskSize() const;
 
+    /** Mean checkpoint size at fork in cells (checkpointCells). */
+    double meanCheckpointCells() const;
+
     /** Dump a gem5-style statistics table: every counter, the fault
      *  injector's counts when one is attached, and the histograms. */
     void dumpStats(std::ostream &os) const;

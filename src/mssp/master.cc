@@ -26,7 +26,10 @@ MasterCore::runSlice(unsigned max_steps, unsigned *executed)
     return MasterStep::Executed;  // in front of a FORK, or budget out
 }
 
-uint64_t
+// hot + aligned for the same layout-stability reason as
+// executeDecodedOn (exec/executor.hh): the master's engine loop is
+// inlined here.
+__attribute__((hot, aligned(64))) uint64_t
 MasterCore::runToEvent(uint64_t max_steps)
 {
     MSSP_ASSERT(running());
@@ -50,7 +53,11 @@ MasterCore::restart(uint32_t orig_pc)
     pc_ = dist_pc;
     for (unsigned r = 0; r < NumRegs; ++r)
         regs_[r] = arch_.readReg(r);
-    delta_.clear();
+    // Checkpoints of the squashed epoch may still view the journal.
+    if (journal_.use_count() == 1)
+        journal_->clear();
+    else
+        journal_ = std::make_shared<WriteJournal>();
     dirty_regs_ = 0;
     site_arrivals_.clear();
     forks_seen_since_spawn_ = 0;
@@ -142,17 +149,34 @@ MasterCore::translateJalr(StepResult &res)
     return true;
 }
 
-std::shared_ptr<const StateDelta>
-MasterCore::snapshotCheckpoint() const
+Checkpoint
+MasterCore::snapshotCheckpoint()
 {
-    auto ckpt = std::make_shared<StateDelta>(delta_);
-    uint32_t dirty = dirty_regs_;
-    while (dirty) {
-        unsigned r = static_cast<unsigned>(__builtin_ctz(dirty));
-        dirty &= dirty - 1;
-        ckpt->set(makeRegCell(r), regs_[r]);
-    }
+    // Compact once dead versions outnumber live cells (plus a floor so
+    // tiny write buffers do not compact every few forks): the log then
+    // stays within about twice the write buffer, and a compaction's
+    // O(cells) cost is paid once per O(cells) appended versions.
+    if (journal_->versions() > 2 * journal_->cells() + MinCompactVersions)
+        compactJournal(false);
+    Checkpoint ckpt;
+    ckpt.journal_ = journal_;
+    ckpt.epoch_ = journal_->seal();
+    ckpt.dirty_regs_ = dirty_regs_;
+    ckpt.regs_ = regs_;
+    ckpt.cells_ = deltaSize();
     return ckpt;
+}
+
+void
+MasterCore::compactJournal(bool drop_arch_equal)
+{
+    auto fresh = std::make_shared<WriteJournal>();
+    fresh->reserve(journal_->cells(), 2 * journal_->cells());
+    journal_->forEachNewest([&](CellId cell, uint32_t value) {
+        if (!drop_arch_equal || arch_.readCell(cell) != value)
+            fresh->write(cell, value);
+    });
+    journal_ = std::move(fresh);
 }
 
 void
@@ -169,13 +193,14 @@ MasterCore::sweepDeltaAgainstArch(size_t max_cells)
         if (arch_.readReg(r) == regs_[r])
             dirty_regs_ &= ~(1u << r);
     }
-    std::vector<CellId> drop;
-    for (const auto &[cell, value] : delta_) {
-        if (arch_.readCell(cell) == value)
-            drop.push_back(cell);
-    }
-    for (CellId cell : drop)
-        delta_.erase(cell);
+    // Memory: this runs after every commit while the buffer is large,
+    // so scan first and rebuild only when some cell actually drops.
+    bool any_drop = false;
+    journal_->forEachNewest([&](CellId cell, uint32_t value) {
+        any_drop = any_drop || arch_.readCell(cell) == value;
+    });
+    if (any_drop)
+        compactJournal(true);
 }
 
 } // namespace mssp

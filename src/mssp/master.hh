@@ -5,8 +5,9 @@
  * The master executes the *distilled* program against its own
  * speculative register file and write buffer, reading through to
  * architected state for anything it has not written. Its only products
- * are predictions: at each taken FORK it snapshots its write-delta as
- * the checkpoint (predicted live-ins) of a new task.
+ * are predictions: at each taken FORK it hands a new task a checkpoint
+ * (predicted live-ins) of its write buffer — a view of its versioned
+ * write journal as of the fork (mssp/checkpoint.hh), not a copy.
  *
  * Nothing the master does can affect correctness; it can be stopped,
  * squashed and restarted at any fork-site PC (the entry map).
@@ -23,12 +24,12 @@
 
 #include "arch/arch_state.hh"
 #include "arch/mmio.hh"
-#include "arch/state_delta.hh"
 #include "distill/distiller.hh"
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
 #include "exec/engine.hh"
 #include "exec/executor.hh"
+#include "mssp/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace mssp
@@ -50,7 +51,8 @@ class MasterCore final : public ExecContext
     /** @p dist must outlive the core (the predecode cache is keyed by
      *  its immutable image). */
     MasterCore(const DistilledProgram &dist, const ArchState &arch)
-        : dist_(dist), arch_(arch)
+        : dist_(dist), arch_(arch),
+          journal_(std::make_shared<WriteJournal>())
     {
         regs_.fill(0);
     }
@@ -84,13 +86,15 @@ class MasterCore final : public ExecContext
      * If the instruction is a FORK: site-arrival counters always
      * update; when the fork must spawn, *fork_out is filled with the
      * original start PC, the end-condition data for the *previous*
-     * task and a checkpoint snapshot, and WantsFork is returned.
+     * task and the new task's checkpoint, and WantsFork is returned.
      */
     struct ForkInfo
     {
         uint32_t origPc = 0;
         uint32_t endVisitsForPrev = 1;
-        std::shared_ptr<const StateDelta> checkpoint;
+        /** The write buffer and dirty registers as of this fork; later
+         *  master writes do not show through it. */
+        Checkpoint checkpoint;
     };
     /** Inline: called once per master instruction on the machine's
      *  per-cycle loop; the FORK case is out of line (stepFork). */
@@ -170,22 +174,30 @@ class MasterCore final : public ExecContext
     /** Total instructions executed (all epochs). */
     uint64_t totalInsts() const { return total_insts_; }
 
-    /** Current write-delta size (checkpoint cost model + tests):
-     *  buffered memory writes plus dirty registers. */
+    /** Current write-buffer size: buffered memory cells plus dirty
+     *  registers (the cell count of a checkpoint taken now, and the
+     *  sweep threshold's measure). */
     size_t
     deltaSize() const
     {
-        return delta_.size() +
+        return journal_->cells() +
                static_cast<size_t>(__builtin_popcount(dirty_regs_));
     }
 
     /**
-     * Drop delta entries whose value equals current architected state
-     * (sound: read-through would return the same value, and younger
-     * commits are verified against live-ins anyway). Keeps checkpoint
-     * snapshots small; called by the machine after commits.
+     * Once the write buffer holds more than @p max_cells cells, drop
+     * those whose value equals current architected state (sound:
+     * read-through would return the same value, and younger commits
+     * are verified against live-ins anyway). Keeps checkpoints small;
+     * called by the machine after commits. Memory cells are dropped
+     * by compacting into a fresh journal, and only when at least one
+     * cell drops.
      */
     void sweepDeltaAgainstArch(size_t max_cells);
+
+    /** The journal holding the buffered memory writes (identity
+     *  tests: compaction replaces it). */
+    const WriteJournal *journal() const { return journal_.get(); }
 
     uint32_t pc() const { return pc_; }
 
@@ -217,9 +229,8 @@ class MasterCore final : public ExecContext
     void
     writeReg(unsigned r, uint32_t v) override
     {
-        // Register writes only flip a dirty bit; the write-delta map
-        // holds memory cells. Register cells are materialized from
-        // regs_ + dirty_regs_ when a checkpoint is snapshotted.
+        // Register writes only flip a dirty bit; the journal holds
+        // memory cells. A checkpoint copies regs_ + dirty_regs_.
         regs_[r] = v;
         dirty_regs_ |= 1u << r;
     }
@@ -230,7 +241,7 @@ class MasterCore final : public ExecContext
         // zero prediction is as good as any (verification protects).
         if (isMmio(addr))
             return 0;
-        if (auto v = delta_.get(makeMemCell(addr)))
+        if (auto v = journal_->get(makeMemCell(addr)))
             return *v;
         return arch_.readMem(addr);
     }
@@ -239,7 +250,7 @@ class MasterCore final : public ExecContext
     {
         if (isMmio(addr))
             return;   // device writes are real side effects: drop
-        delta_.set(makeMemCell(addr), v);
+        journal_->write(makeMemCell(addr), v);
     }
     uint32_t
     fetch(uint32_t pc) override
@@ -258,9 +269,20 @@ class MasterCore final : public ExecContext
     /** Predecode cache over the distilled image (private I-space). */
     DecodeCache decode_{dist_.prog};
 
-    /** Build the checkpoint snapshot: buffered memory writes plus
-     *  every dirty register's current value. */
-    std::shared_ptr<const StateDelta> snapshotCheckpoint() const;
+    /** Build the checkpoint of a fork: seal the journal's open epoch
+     *  (compacting it first when it holds mostly dead versions) and
+     *  copy the dirty registers. O(1) in the write-buffer size apart
+     *  from amortized compaction. */
+    Checkpoint snapshotCheckpoint();
+
+    /** Dead versions a journal may hold beyond its live cells before
+     *  a fork compacts it. */
+    static constexpr size_t MinCompactVersions = 64;
+
+    /** Replace the journal with a fresh one holding only current
+     *  values, minus those equal to architected state when
+     *  @p drop_arch_equal. Checkpoints keep the old one, frozen. */
+    void compactJournal(bool drop_arch_equal);
 
     /** The FORK case of step() (arrival counting + spawn decision). */
     MasterStep stepFork(const Instruction &inst, ForkInfo *fork_out);
@@ -348,9 +370,10 @@ class MasterCore final : public ExecContext
 
     std::array<uint32_t, NumRegs> regs_;
     uint32_t pc_ = 0;
-    /** Buffered *memory* writes since restart (registers are tracked
-     *  by dirty_regs_ and live in regs_). */
-    StateDelta delta_;
+    /** Buffered *memory* writes since restart, shared with every
+     *  checkpoint taken from it (registers are tracked by dirty_regs_
+     *  and live in regs_). */
+    std::shared_ptr<WriteJournal> journal_;
     /** Bit r set: register r was written since the last restart and
      *  its value differs (conservatively) from architected state. */
     uint32_t dirty_regs_ = 0;

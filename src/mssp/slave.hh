@@ -68,11 +68,9 @@ class TaskContext final : public ExecContext
         StateDelta::Cursor c = task_.liveIn.lookup(cell);
         if (c.found)
             return task_.liveIn.valueAt(c);
-        if (task_.checkpoint) {
-            if (auto v = task_.checkpoint->get(cell)) {
-                task_.liveIn.insertAt(c, cell, *v);
-                return *v;
-            }
+        if (auto v = task_.checkpoint.get(cell)) {
+            task_.liveIn.insertAt(c, cell, *v);
+            return *v;
         }
         uint32_t value = arch_.readCell(cell);
         ++task_.archReads;
@@ -433,7 +431,10 @@ SlaveCore::tickActive()
     return static_cast<unsigned>(er.retired);
 }
 
-inline Cycle
+// hot + aligned for the same layout-stability reason as
+// executeDecodedOn (exec/executor.hh): the slave's engine loop is
+// inlined here.
+__attribute__((hot, aligned(64))) inline Cycle
 SlaveCore::advance(Cycle cycles, uint64_t *executed)
 {
     Cycle used = 0;

@@ -15,11 +15,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 
 #include "arch/state_delta.hh"
 #include "exec/context.hh"
 #include "isa/isa.hh"
+#include "mssp/checkpoint.hh"
 
 namespace mssp
 {
@@ -66,7 +66,7 @@ struct Task
     bool runToHalt = false;
 
     /** Master-predicted live-ins (diff against architected state). */
-    std::shared_ptr<const StateDelta> checkpoint;
+    Checkpoint checkpoint;
 
     /** Values actually consumed, recorded at first read. */
     StateDelta liveIn;
@@ -116,7 +116,7 @@ struct Task
         endPc = 0;
         endVisits = 1;
         runToHalt = false;
-        checkpoint.reset();
+        checkpoint = Checkpoint{};
         liveIn.clear();
         liveOut.clear();
         outputs.clear();

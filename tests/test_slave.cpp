@@ -48,7 +48,6 @@ struct SlaveFixture : public ::testing::Test
     {
         Task t;
         t.startPc = start_pc;
-        t.checkpoint = std::make_shared<const StateDelta>();
         return t;
     }
 
@@ -72,9 +71,7 @@ TEST_F(SlaveFixture, ReadPriorityLocalThenCheckpointThenArch)
     arch.writeMem(0x100, 1);
 
     Task t = makeTask(0);
-    auto ckpt = std::make_shared<StateDelta>();
-    ckpt->set(makeMemCell(0x100), 2);
-    t.checkpoint = ckpt;
+    t.checkpoint.set(makeMemCell(0x100), 2);
 
     TaskContext ctx(t, arch);
     // Checkpoint wins over arch.
