@@ -12,6 +12,7 @@
 
 #include "core/mssp_api.hh"
 #include "sim/rng.hh"
+#include "util/string_utils.hh"
 #include "workloads/random_program.hh"
 
 using namespace mssp;
@@ -20,9 +21,10 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    uint64_t seed = argc > 1
-        ? static_cast<uint64_t>(std::atoll(argv[1]))
-        : 42;
+    uint64_t seed = argc > 1 ? flagNumber<uint64_t>("adversarial_master",
+                                                    "seed", argv[1], 0,
+                                                    UINT64_MAX)
+                             : 42;
 
     std::string src = randomProgramSource(seed);
     Program prog = assemble(src);

@@ -926,7 +926,7 @@ SemanticResult::toJson() const
                       v.index, distillPassName(v.edit.pass),
                       v.edit.origPc, v.edit.reg,
                       editRiskName(v.risk),
-                      escapeReportJson(v.detail).c_str());
+                      jsonEscape(v.detail).c_str());
     }
     out += "]}\n";
     return out;

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "sim/logging.hh"
+#include "util/string_utils.hh"
 
 namespace mssp::analysis
 {
@@ -289,7 +290,7 @@ SpecPlanReport::toJson(const std::string &workload) const
         else
             out += "\"storePc\": null, ";
         out += strfmt("\"detail\": \"%s\"}",
-                      escapeReportJson(c.detail).c_str());
+                      jsonEscape(c.detail).c_str());
     }
     // Embed the metadata-validation findings as the report's "lint"
     // object (its trailing newline dropped).

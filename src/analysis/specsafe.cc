@@ -5,6 +5,7 @@
 
 #include "arch/mmio.hh"
 #include "sim/logging.hh"
+#include "util/string_utils.hh"
 
 namespace mssp::analysis
 {
@@ -253,18 +254,18 @@ SpecSafeReport::toJson(const std::string &workload) const
         out += strfmt("{\"pc\": \"0x%x\", \"class\": \"%s\", "
                       "\"addr\": \"%s\", ",
                       c.pc, loadSpecClassName(c.cls),
-                      escapeReportJson(c.addr.toString()).c_str());
+                      jsonEscape(c.addr.toString()).c_str());
         if (c.storePc != UINT32_MAX) {
             out += strfmt("\"storePc\": \"0x%x\", \"storeAddr\": "
                           "\"%s\", ",
                           c.storePc,
-                          escapeReportJson(c.storeAddr.toString())
+                          jsonEscape(c.storeAddr.toString())
                               .c_str());
         } else {
             out += "\"storePc\": null, \"storeAddr\": null, ";
         }
         out += strfmt("\"detail\": \"%s\"}",
-                      escapeReportJson(c.detail).c_str());
+                      jsonEscape(c.detail).c_str());
     }
     // Embed the metadata-validation findings as the report's "lint"
     // object (its trailing newline dropped).

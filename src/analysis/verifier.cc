@@ -9,6 +9,7 @@
 #include "cfg/cfg.hh"
 #include "exec/executor.hh"
 #include "sim/logging.hh"
+#include "util/string_utils.hh"
 
 namespace mssp::analysis
 {
@@ -661,21 +662,6 @@ LintReport::toText() const
 }
 
 std::string
-escapeReportJson(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += strfmt("\\%c", c);
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += strfmt("\\u%04x", c);
-        else
-            out += c;
-    }
-    return out;
-}
-
-std::string
 LintReport::toJson() const
 {
     // Every deterministic JSON document in the repo names its schema
@@ -706,7 +692,7 @@ LintReport::toJson() const
         else
             out += "\"pass\": null, ";
         out += strfmt("\"message\": \"%s\"}",
-                      escapeReportJson(f.message).c_str());
+                      jsonEscape(f.message).c_str());
     }
     out += "]}\n";
     return out;

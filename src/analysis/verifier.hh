@@ -133,11 +133,6 @@ struct LintReport
     std::string toJson() const;
 };
 
-/** Escape @p s for a JSON string body, as every analysis report
- *  does: a backslash before quotes and backslashes, a six-character
- *  unicode escape for any other control byte. */
-std::string escapeReportJson(const std::string &s);
-
 /**
  * The distilled image's own CFG. Discovery roots are every entryMap
  * and addrMap target: layout lowers calls to `loadimm ra; jal r0`,

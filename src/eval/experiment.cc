@@ -71,8 +71,8 @@ benchJobs(int argc, char **argv, const char *tool)
     unsigned jobs = defaultJobs();
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
+            jobs = flagNumber<unsigned>(tool, "--jobs", argv[++i], 1,
+                                        1024);
         } else {
             std::fprintf(stderr, "usage: %s [--jobs N]\n", tool);
             std::exit(2);

@@ -65,7 +65,7 @@ WorkloadRun runPrepared(const std::string &name,
  * Parse the one flag every bench/eval binary takes: `--jobs N` (host
  * threads for the sweep; default hardware concurrency, 1 = exact
  * serial path). Unknown arguments print a usage line naming @p tool
- * and exit(2).
+ * and exit(2), as does an N outside [1, 1024].
  */
 unsigned benchJobs(int argc, char **argv, const char *tool);
 

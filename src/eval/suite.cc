@@ -9,7 +9,7 @@
 #include "eval/adapt.hh"
 #include "eval/crossval.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
+#include "sim/supervisor.hh"
 #include "sim/thread_annotations.hh"
 #include "workloads/workloads.hh"
 
@@ -46,7 +46,7 @@ SuiteReport::ok() const
 std::string
 SuiteReport::toJson() const
 {
-    std::string out = "{\"schema\": \"mssp-suite-v5\",\n";
+    std::string out = "{\"schema\": \"mssp-suite-v6\",\n";
     out += strfmt(" \"seed\": %llu, \"scale\": %s, ",
                   static_cast<unsigned long long>(options.seed),
                   fmtG(options.scale).c_str());
@@ -215,12 +215,10 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     // seeds the campaign's oracle cache from the prepared pipeline.
     SeqOracleCache oracles(opts.scale);
     Mutex log_m;
-    std::vector<std::function<SuiteWorkloadResult(const JobContext &)>>
-        work;
+    std::vector<std::function<SuiteWorkloadResult()>> work;
     work.reserve(names.size());
     for (const std::string &name : names) {
-        work.push_back([&opts, &oracles, &log_m, log,
-                        &name](const JobContext &) {
+        work.push_back([&opts, &oracles, &log_m, log, &name] {
             SuiteWorkloadResult r;
             r.name = name;
 
@@ -326,21 +324,9 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
             return r;
         });
     }
-    SupervisorOptions sopts;
-    sopts.retry = opts.retry;
-    sopts.budget = opts.jobBudget;
-    sopts.seed = opts.seed;
-    HostChaos chaos(opts.chaos);
-    if (opts.chaos.enabled())
-        sopts.chaos = &chaos;
     SupervisedResult<SuiteWorkloadResult> phase1 =
-        runSupervised<SuiteWorkloadResult>(jobs, std::move(work),
-                                           sopts, names);
-    report.workloads.reserve(phase1.outcomes.size());
-    for (JobOutcome<SuiteWorkloadResult> &out : phase1.outcomes) {
-        if (out.ok())
-            report.workloads.push_back(std::move(*out.value));
-    }
+        runSupervised<SuiteWorkloadResult>(jobs, std::move(work), names);
+    report.workloads = std::move(phase1.healthy);
     report.evalQuarantine = std::move(phase1.quarantine);
     if (log && !report.evalQuarantine.empty()) {
         *log << report.evalQuarantine.summary();
@@ -350,7 +336,7 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     // Phase two: the fault-campaign cell sweep over the same pool,
     // reusing phase one's oracles (no workload is prepared twice). A
     // quarantined workload's oracle was never seeded; the campaign's
-    // unsupervised warm phase recomputes it deterministically.
+    // warm phase recomputes it deterministically.
     CampaignOptions copts;
     copts.workloads = names;
     copts.intensities = opts.intensities;
@@ -358,9 +344,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     copts.seed = opts.seed;
     copts.maxCycles = opts.campaignMaxCycles;
     copts.jobs = jobs;
-    copts.retry = opts.retry;
-    copts.cellBudget = opts.jobBudget;
-    copts.chaos = opts.chaos;
     report.campaign = runFaultCampaign(copts, log, &oracles);
     return report;
 }

@@ -27,19 +27,16 @@
  * (workload x fault type x intensity), sharded over the same pool
  * and reusing those oracles — no workload is ever prepared twice.
  *
- * Both phases run *supervised* (sim/supervisor.hh): every job gets a
- * per-attempt budget and N-strikes retry, and a job that exhausts its
- * attempts is quarantined — its structured Status lands in the report
- * and every healthy result still merges. Host chaos (fault/
- * hostchaos.hh) injects deterministic stalls/throws/cancels through
- * the same seam for the CI chaos job.
+ * Both phases run each job once through runSupervised()
+ * (sim/supervisor.hh): a job that throws is quarantined — its
+ * structured Status lands in the report — and every healthy result
+ * still merges.
  *
  * The report is one deterministic JSON document (schema
- * mssp-suite-v5): per-run seeds derive from canonical job indices
+ * mssp-suite-v6): per-run seeds derive from canonical job indices
  * and results merge in canonical order, so `--jobs N` output is
- * byte-identical to `--jobs 1` (wall-clock deadline trips excepted —
- * see JobBudget). CI runs the suite on every push with all 12
- * workloads and diffs a serial rerun against it (docs/CI.md).
+ * byte-identical to `--jobs 1`. CI runs the suite on every push with
+ * all 12 workloads and diffs a serial rerun against it (docs/CI.md).
  */
 
 #ifndef MSSP_EVAL_SUITE_HH
@@ -68,11 +65,6 @@ struct SuiteOptions
     std::vector<double> intensities{1.0, 10.0};
     uint64_t campaignMaxCycles = 0;   ///< 0 = derive from oracle
     uint64_t runMaxCycles = 400000000ull;   ///< MSSP run cycle cap
-    /** Supervision for both phases: retry shape, per-attempt job
-     *  budget, and host-chaos plan (seed 0 = chaos off). */
-    RetryPolicy retry{/*maxAttempts=*/3};
-    JobBudget jobBudget;
-    HostChaosPlan chaos;
 };
 
 /** Everything phase one measures for one workload. */
@@ -145,7 +137,7 @@ struct SuiteReport
     /** Healthy phase-one results only, canonical order (quarantined
      *  workloads are in evalQuarantine instead). */
     std::vector<SuiteWorkloadResult> workloads;
-    /** Phase-one jobs that failed every attempt. */
+    /** Phase-one jobs that threw. */
     QuarantineReport evalQuarantine;
     CampaignReport campaign;
 
@@ -165,8 +157,8 @@ struct SuiteReport
      *  fired, and nothing was quarantined. */
     bool ok() const;
 
-    /** Deterministic JSON document (schema mssp-suite-v5; embeds the
-     *  campaign's mssp-faultcamp-v2 object under "campaign"). */
+    /** Deterministic JSON document (schema mssp-suite-v6; embeds the
+     *  campaign's mssp-faultcamp-v3 object under "campaign"). */
     std::string toJson() const;
 
     /** Human-readable result tables. */

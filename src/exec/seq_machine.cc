@@ -1,23 +1,9 @@
 #include "exec/seq_machine.hh"
 
-#include <algorithm>
-
 #include "exec/blockjit.hh"
-#include "sim/supervisor.hh"
 
 namespace mssp
 {
-
-namespace
-{
-
-/** Supervised slice size: small enough that a wall-clock deadline is
- *  observed within a fraction of a millisecond at SEQ speed
- *  (~150-400M insts/s), large enough that the between-slice poll is
- *  noise. */
-constexpr uint64_t kSuperviseSliceInsts = 16384;
-
-} // anonymous namespace
 
 SeqMachine::SeqMachine(const Program &prog)
 {
@@ -62,7 +48,7 @@ SeqMachine::step()
 // engine it calls should sit together in .text.hot with fixed
 // alignment, immune to unrelated code growth elsewhere.
 __attribute__((hot, aligned(64))) SeqRunResult
-SeqMachine::runLoop(uint64_t max_insts)
+SeqMachine::run(uint64_t max_insts)
 {
     SeqRunResult result;
 
@@ -95,38 +81,6 @@ SeqMachine::runLoop(uint64_t max_insts)
     result.faulted = faulted_;
     result.finalPc = state_.pc();
     return result;
-}
-
-SeqRunResult
-SeqMachine::run(uint64_t max_insts)
-{
-    Supervision *sup = currentSupervision();
-    if (!sup)
-        return runLoop(max_insts);
-
-    // Supervised: run bounded slices (a bounded engine call is the
-    // budget mechanism the engine already implements), polling
-    // between slices. Trips throw at a slice boundary, leaving the
-    // machine consistent.
-    SeqRunResult total;
-    while (!halted_ && !faulted_ && total.instCount < max_insts) {
-        sup->checkOrThrow();
-        uint64_t budget = sup->instsRemaining();
-        if (budget == 0)
-            sup->tripInstLimit();   // work left, none allowed: trip
-        uint64_t slice = std::min(
-            {max_insts - total.instCount, kSuperviseSliceInsts,
-             budget});
-        SeqRunResult part = runLoop(slice);
-        total.instCount += part.instCount;
-        // Attempted == retired for SEQ (a faulting attempt counts as
-        // executed work and ends the loop anyway).
-        sup->consume(part.instCount, part.instCount);
-    }
-    total.halted = halted_;
-    total.faulted = faulted_;
-    total.finalPc = state_.pc();
-    return total;
 }
 
 } // namespace mssp

@@ -80,18 +80,9 @@ class SeqMachine final : public ExecContext
     const BlockJit *blockJit() const { return jit_.get(); }
 
     /**
-     * Run until HALT, a fault, or @p max_insts instructions.
+     * Run until HALT, a fault, or @p max_insts instructions: one
+     * blockjit call, or step() per instruction when observed.
      * May be called repeatedly to continue an unfinished run.
-     *
-     * Supervised runs: when a Supervision is installed on the calling
-     * thread (sim/supervisor.hh SupervisionScope), execution proceeds
-     * in bounded run-loop slices (observed or not), polling the
-     * budget between slices and throwing StatusError on a trip —
-     * always at a slice boundary, so the machine stays
-     * architecturally consistent and resumable (clear the token and
-     * call run() again to continue). The instruction cap is exact:
-     * slices clamp to the budget's remainder. Unsupervised runs take
-     * the unchanged single-call hot path.
      */
     SeqRunResult run(uint64_t max_insts);
 
@@ -151,10 +142,6 @@ class SeqMachine final : public ExecContext
   private:
     /** Bookkeeping shared by step() and the batched run loop. */
     void applyStep(const StepResult &res);
-
-    /** The unsupervised run body: blockjit, or step() per
-     *  instruction when observed. */
-    SeqRunResult runLoop(uint64_t max_insts);
 
     ArchState state_;
     DecodeCache decode_{state_.mem()};

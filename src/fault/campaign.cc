@@ -195,21 +195,10 @@ CampaignReport::allTypesFired() const
 std::string
 CampaignReport::toJson() const
 {
-    std::string out = "{\"schema\": \"mssp-faultcamp-v2\",\n";
+    std::string out = "{\"schema\": \"mssp-faultcamp-v3\",\n";
     out += strfmt(" \"seed\": %llu, \"scale\": %s,\n",
                   static_cast<unsigned long long>(options.seed),
                   fmtRate(options.scale).c_str());
-    out += strfmt(" \"retries\": %u, \"cellBudget\": "
-                  "{\"timeoutMs\": %llu, \"maxInsts\": %llu, "
-                  "\"maxCommits\": %llu},\n \"chaos\": %s,\n",
-                  options.retry.maxAttempts,
-                  static_cast<unsigned long long>(
-                      options.cellBudget.timeoutMs),
-                  static_cast<unsigned long long>(
-                      options.cellBudget.maxInsts),
-                  static_cast<unsigned long long>(
-                      options.cellBudget.maxCommits),
-                  options.chaos.toJson().c_str());
     out += " \"workloads\": [";
     for (size_t i = 0; i < options.workloads.size(); ++i) {
         out += strfmt("%s\"%s\"", i ? ", " : "",
@@ -372,7 +361,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
         runSharded<bool>(jobs, std::move(warm));
     }
     Mutex log_m;
-    std::vector<std::function<CampaignRun(const JobContext &)>> work;
+    std::vector<std::function<CampaignRun()>> work;
     std::vector<std::string> labels;
     work.reserve(cells.size());
     labels.reserve(cells.size());
@@ -380,8 +369,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
         labels.push_back(strfmt("%s/%s/%s", cell.workload.c_str(),
                                 toString(cell.type),
                                 fmtRate(cell.rate).c_str()));
-        work.push_back([&opts, &oracles, &log_m, log,
-                        cell](const JobContext &) {
+        work.push_back([&opts, &oracles, &log_m, log, cell] {
             const SeqOracle &oracle = oracles.get(cell.workload);
             CampaignRun run = runCampaignCell(
                 cell.workload, oracle, cell.type, cell.rate,
@@ -404,25 +392,12 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
             return run;
         });
     }
-    // The cell sweep runs supervised: per-cell budgets and retries,
-    // with failures quarantined instead of aborting the sweep. The
-    // warm phase above stays *unsupervised* on purpose — oracles are
-    // trusted shared state, and a chaos-perturbed oracle fill would
-    // poison every cell that reuses it.
-    SupervisorOptions sopts;
-    sopts.retry = opts.retry;
-    sopts.budget = opts.cellBudget;
-    sopts.seed = opts.seed;
-    HostChaos chaos(opts.chaos);
-    if (opts.chaos.enabled())
-        sopts.chaos = &chaos;
-    SupervisedResult<CampaignRun> swept = runSupervised<CampaignRun>(
-        jobs, std::move(work), sopts, std::move(labels));
-    report.runs.reserve(swept.outcomes.size());
-    for (JobOutcome<CampaignRun> &out : swept.outcomes) {
-        if (out.ok())
-            report.runs.push_back(std::move(*out.value));
-    }
+    // A cell that throws is quarantined instead of aborting the
+    // sweep. The warm phase above stays plain runSharded on purpose:
+    // oracles are trusted shared state that every cell reuses.
+    SupervisedResult<CampaignRun> swept =
+        runSupervised<CampaignRun>(jobs, std::move(work), labels);
+    report.runs = std::move(swept.healthy);
     report.quarantine = std::move(swept.quarantine);
     if (log && !report.quarantine.empty()) {
         *log << report.quarantine.summary();

@@ -18,7 +18,9 @@
  *
  * Everything is deterministic: per-run seeds derive from the campaign
  * seed via Rng::mix, and the JSON report contains no timestamps, so
- * identical options reproduce identical bytes (CI diffs them).
+ * identical options reproduce identical bytes (CI diffs them). Each
+ * cell runs once; a cell whose job throws is quarantined
+ * (sim/supervisor.hh) and the sweep goes on.
  * tools/mssp-faultcamp is the CLI; docs/FAULTS.md the guide.
  */
 
@@ -34,7 +36,6 @@
 
 #include "core/pipeline.hh"
 #include "fault/fault.hh"
-#include "fault/hostchaos.hh"
 #include "mssp/machine.hh"
 #include "sim/supervisor.hh"
 #include "sim/thread_annotations.hh"
@@ -72,16 +73,6 @@ struct CampaignOptions
      * run's seed derives from its canonical index, not scheduling.
      */
     unsigned jobs = 1;
-    /** Per-cell supervision (sim/supervisor.hh): N-strikes retry
-     *  with deterministic backoff; a cell that exhausts its attempts
-     *  is quarantined, not fatal. */
-    RetryPolicy retry{/*maxAttempts=*/3};
-    /** Per-attempt budget for each cell (0s = unbounded). The
-     *  instruction caps quarantine deterministically; a wall-clock
-     *  cap is host-timing dependent (see JobBudget). */
-    JobBudget cellBudget;
-    /** Host-chaos injection over the cell sweep (seed 0 = off). */
-    HostChaosPlan chaos;
 };
 
 /** Default per-opportunity Bernoulli rate for @p t at intensity 1. */
@@ -127,7 +118,7 @@ struct CampaignReport
     /** Healthy cells only, canonical order (quarantined cells are in
      *  the quarantine report instead). */
     std::vector<CampaignRun> runs;
-    /** Cells whose job failed every attempt (canonical order). */
+    /** Cells whose job threw (canonical order). */
     QuarantineReport quarantine;
 
     size_t failures() const;
@@ -140,8 +131,8 @@ struct CampaignReport
      *  (the "counters prove it" acceptance criterion). */
     bool allTypesFired() const;
 
-    /** Deterministic JSON document (schema mssp-faultcamp-v2; v1
-     *  plus the quarantine block and supervision/chaos options). */
+    /** Deterministic JSON document (schema mssp-faultcamp-v3;
+     *  docs/SCHEMAS.md). */
     std::string toJson() const;
 
     /** Human-readable result table. */

@@ -5,7 +5,6 @@
 #include "exec/executor.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
-#include "sim/supervisor.hh"
 
 namespace mssp
 {
@@ -738,11 +737,9 @@ MsspMachine::epochFallback(EpochFallback *reason)
 }
 
 Cycle
-MsspMachine::staticHorizon(Cycle max_cycles, bool polled) const
+MsspMachine::staticHorizon(Cycle max_cycles) const
 {
     Cycle h = max_cycles;
-    if (polled)
-        h = std::min(h, (now_ + 1023) & ~Cycle{1023});
     if (!spawn_queue_.empty())
         h = std::min(h, spawn_queue_.front().due);
     if (mode_ == Mode::Restarting)
@@ -785,14 +782,14 @@ MsspMachine::advanceSeqEpoch(Cycle horizon)
 }
 
 void
-MsspMachine::advanceEpoch(Cycle max_cycles, bool polled)
+MsspMachine::advanceEpoch(Cycle max_cycles)
 {
     EpochFallback reason;
     if (epochFallback(&reason)) {
         ++epoch_stats_.fallbacks[static_cast<size_t>(reason)];
         return;
     }
-    Cycle horizon = staticHorizon(max_cycles, polled);
+    Cycle horizon = staticHorizon(max_cycles);
     if (horizon <= now_)
         return;
     Cycle start = now_;
@@ -883,33 +880,11 @@ MsspMachine::runCycleStepped(uint64_t max_cycles)
 MsspResult
 MsspMachine::runLoop(uint64_t max_cycles, bool batched)
 {
-    // Job supervision (sim/supervisor.hh): polled every 1024 cycles
-    // at the top of a cycle — a consistent point, so a budget trip
-    // throws with all speculative and architected state intact (the
-    // machine can be inspected or resumed). Epoch steps end at every
-    // poll cycle, so batching never moves a poll.
-    Supervision *sup = currentSupervision();
-    uint64_t sup_exec = 0;
-    uint64_t sup_commit = 0;
-    if (sup) {
-        sup_exec = ctrs_.masterInsts + ctrs_.slaveInsts +
-                   ctrs_.seqModeInsts;
-        sup_commit = arch_.instret();
-    }
     while (now_ < max_cycles && !halted_ && !faulted_) {
         if (batched) {
-            advanceEpoch(max_cycles, sup != nullptr);
+            advanceEpoch(max_cycles);
             if (now_ >= max_cycles || halted_ || faulted_)
                 break;
-        }
-        if (sup && (now_ & 1023) == 0) {
-            sup->checkOrThrow();
-            uint64_t exec = ctrs_.masterInsts + ctrs_.slaveInsts +
-                            ctrs_.seqModeInsts;
-            uint64_t commit = arch_.instret();
-            sup->consume(exec - sup_exec, commit - sup_commit);
-            sup_exec = exec;
-            sup_commit = commit;
         }
         stepCycle();
     }

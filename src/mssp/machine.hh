@@ -156,13 +156,7 @@ class MsspMachine
 
     /**
      * Run until the program halts/faults or @p max_cycles elapse.
-     *
-     * When a Supervision is installed on the calling thread
-     * (sim/supervisor.hh), the loop polls it every 1024 cycles and
-     * throws StatusError on a budget trip or cancellation — always
-     * between cycles, so the machine stays consistent and resumable.
-     * Executed work is charged as master + slave + seq-mode
-     * instructions; retired work as architected instret.
+     * May be called repeatedly to continue an unfinished run.
      *
      * Between cross-core events the machine advances every core in
      * one slice up to the next event (the epoch rule, DESIGN.md §8);
@@ -186,7 +180,7 @@ class MsspMachine
     /** Current simulation time (valid inside hooks). */
     Cycle now() const { return now_; }
     /** Every counter as of now, the slave sums included (valid
-     *  mid-run and after a supervision trip). */
+     *  inside hooks too). */
     MsspCounters counters() const;
     const OutputStream &outputs() const { return outputs_; }
 
@@ -231,13 +225,13 @@ class MsspMachine
      * through [now_, E) in one slice each, E being the next cycle at
      * which anything crosses cores, and set now_ = E. Leaves now_
      * unchanged when cycle now_ itself is an event or a fallback
-     * applies. @p polled: a supervision poll is due every 1024 cycles.
+     * applies.
      */
-    void advanceEpoch(Cycle max_cycles, bool polled);
+    void advanceEpoch(Cycle max_cycles);
     /** The reason batching cannot be exact at now_, if any. */
     bool epochFallback(EpochFallback *reason);
     /** The earliest event known before any core runs. */
-    Cycle staticHorizon(Cycle max_cycles, bool polled) const;
+    Cycle staticHorizon(Cycle max_cycles) const;
     /** Seq-mode epoch: one slice up to @p horizon, ending early at a
      *  re-engage point or the end of the program. */
     void advanceSeqEpoch(Cycle horizon);

@@ -38,22 +38,9 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::run(std::vector<std::function<void()>> jobs)
 {
-    std::vector<std::exception_ptr> errors =
-        runCollect(std::move(jobs));
-    // First failure by job index, not completion time: deterministic.
-    // The rest are dropped — the compat contract (see the header).
-    for (std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-}
-
-std::vector<std::exception_ptr>
-ThreadPool::runCollect(std::vector<std::function<void()>> jobs)
-{
-    std::vector<std::exception_ptr> errors(jobs.size());
     if (jobs.empty())
-        return errors;
+        return;
+    std::vector<std::exception_ptr> errors(jobs.size());
     {
         MutexLock lock(m_);
         // Publish the batch state *before* dealing indices: a worker
@@ -81,7 +68,11 @@ ThreadPool::runCollect(std::vector<std::function<void()>> jobs)
         jobs_ = nullptr;
         errors_ = nullptr;
     }
-    return errors;
+    // First failure by job index, not completion time: deterministic.
+    for (std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
 }
 
 bool

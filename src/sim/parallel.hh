@@ -17,12 +17,10 @@
  *    round-robin onto per-worker deques; a worker pops its own deque
  *    from the back (LIFO, cache-warm) and steals from the front of a
  *    sibling's deque when it runs dry (FIFO, oldest work first).
- *    runCollect() surfaces *every* job's exception positionally;
- *    run() keeps the historical compat contract of rethrowing only
- *    the first exception by *job index* (deterministic, but the rest
- *    are swallowed — new callers should go through runSupervised()
- *    in sim/supervisor.hh, which turns all failures into a
- *    structured quarantine report).
+ *    run() rethrows the exception of the lowest-*indexed* throwing
+ *    job (deterministic; the rest are dropped). Sweeps that must
+ *    report every failure catch inside each job instead: see
+ *    runSupervised() in sim/supervisor.hh.
  *
  *  - runSharded(): executes a vector of result-returning closures on
  *    a pool and hands results to the caller (or a merge function) in
@@ -85,20 +83,9 @@ class ThreadPool
      * Jobs may run in any order on any worker. If one or more jobs
      * throw, the exception of the *lowest-indexed* throwing job is
      * rethrown here after the batch drains (the rest are swallowed) —
-     * deterministic regardless of scheduling. This is the compat
-     * error contract; callers that need every failure use
-     * runCollect() (directly or via sim/supervisor.hh).
+     * deterministic regardless of scheduling.
      */
     void run(std::vector<std::function<void()>> jobs);
-
-    /**
-     * Like run(), but never throws: the returned vector has one slot
-     * per job, holding that job's exception (or nullptr). All
-     * failures are surfaced positionally, so the caller can report
-     * or quarantine each one instead of losing all but the first.
-     */
-    std::vector<std::exception_ptr>
-    runCollect(std::vector<std::function<void()>> jobs);
 
   private:
     /** One worker's deque of pending job indices. */

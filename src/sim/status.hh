@@ -1,13 +1,12 @@
 /**
  * @file
- * Structured status / result taxonomy for the job runtime.
+ * Structured status / result taxonomy.
  *
- * Every way a supervised job can end — success, cooperative
- * cancellation, a budget trip, malformed input, an ordinary failure —
- * is one StatusCode, so sweep drivers and servers can branch on the
- * class of an outcome instead of string-matching exception text, and
- * quarantine reports stay byte-deterministic (codes render as fixed
- * kebab-case names).
+ * Every way a sweep job or an untrusted-input parse can end —
+ * success, malformed input, an ordinary failure — is one StatusCode,
+ * so callers can branch on the class of an outcome instead of
+ * string-matching exception text, and quarantine reports stay
+ * byte-deterministic (codes render as fixed kebab-case names).
  *
  * Three pieces:
  *
@@ -20,8 +19,8 @@
  *    outcome, not an exception.
  *  - StatusError: the exception form, derived from FatalError so
  *    every existing catch (const FatalError &) boundary — the CLI
- *    tools, the ThreadPool — already contains it. Machines throw it
- *    at supervision trip points (sim/supervisor.hh).
+ *    tools, the ThreadPool — already contains it. runSupervised()
+ *    (sim/supervisor.hh) keeps its code when it quarantines a job.
  */
 
 #ifndef MSSP_SIM_STATUS_HH
@@ -40,27 +39,13 @@ namespace mssp
 enum class StatusCode : uint8_t
 {
     Ok = 0,
-    Cancelled,            ///< CancelToken observed at a safe point
-    DeadlineExceeded,     ///< wall-clock budget ran out
-    InstLimitExceeded,    ///< executed-instruction budget ran out
-    CommitLimitExceeded,  ///< retired-work budget ran out
     ParseError,           ///< malformed untrusted input
     JobFailed,            ///< the job threw an ordinary error
     Internal,             ///< should-not-happen wrapped as data
 };
 
-/** Fixed kebab-case name ("ok", "deadline-exceeded", ...). */
+/** Fixed kebab-case name ("ok", "parse-error", ...). */
 const char *toString(StatusCode code);
-
-/** @return true for the budget-trip codes (exit code 4 at the CLIs:
- *  deadline, instruction cap, retired-work cap). */
-inline bool
-isBudgetTrip(StatusCode code)
-{
-    return code == StatusCode::DeadlineExceeded ||
-           code == StatusCode::InstLimitExceeded ||
-           code == StatusCode::CommitLimitExceeded;
-}
 
 /** A status code plus a deterministic human-readable message. */
 class Status
@@ -135,12 +120,9 @@ class Result
 };
 
 /**
- * The exception form of a Status. Thrown by machines at supervision
- * trip points (always at an architecturally consistent boundary, so
- * the machine remains inspectable and resumable) and by the host
- * chaos layer. Derives from FatalError so every existing tool-level
- * and pool-level catch already handles it; runSupervised() catches it
- * first to preserve the structured code.
+ * The exception form of a Status. Derives from FatalError so every
+ * existing tool-level and pool-level catch already handles it;
+ * runSupervised() catches it first to preserve the structured code.
  */
 class StatusError : public FatalError
 {
@@ -160,10 +142,6 @@ toString(StatusCode code)
 {
     switch (code) {
       case StatusCode::Ok:                  return "ok";
-      case StatusCode::Cancelled:           return "cancelled";
-      case StatusCode::DeadlineExceeded:    return "deadline-exceeded";
-      case StatusCode::InstLimitExceeded:   return "inst-limit-exceeded";
-      case StatusCode::CommitLimitExceeded: return "commit-limit-exceeded";
       case StatusCode::ParseError:          return "parse-error";
       case StatusCode::JobFailed:           return "job-failed";
       case StatusCode::Internal:            return "internal";

@@ -1,206 +1,9 @@
 #include "sim/supervisor.hh"
 
-#include <cstdlib>
-
-#include "sim/rng.hh"
+#include "util/string_utils.hh"
 
 namespace mssp
 {
-
-namespace
-{
-
-thread_local Supervision *tls_supervision = nullptr;
-
-uint64_t
-envU64(const char *name, uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        fatal("%s: expected a nonnegative integer, got '%s'", name, v);
-    }
-    return parsed;
-}
-
-} // anonymous namespace
-
-JobBudget
-budgetFromEnv(JobBudget base)
-{
-    base.timeoutMs = envU64("MSSP_JOB_TIMEOUT_MS", base.timeoutMs);
-    base.maxInsts = envU64("MSSP_JOB_MAX_INSTS", base.maxInsts);
-    return base;
-}
-
-Supervision::Supervision(const JobBudget &budget, CancelToken *cancel)
-    : budget_(budget), cancel_(cancel)
-{
-    if (budget_.timeoutMs != 0) {
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(budget_.timeoutMs);
-        has_deadline_ = true;
-    }
-}
-
-void
-Supervision::trip(StatusCode code)
-{
-    // Sticky: only the first trip wins; later polls (and this throw)
-    // re-report the winner so nested run loops unwind coherently.
-    StatusCode expected = StatusCode::Ok;
-    trip_.compare_exchange_strong(expected, code,
-                                  std::memory_order_acq_rel);
-    throw StatusError(status());
-}
-
-Status
-Supervision::status() const
-{
-    StatusCode code = trip_.load(std::memory_order_acquire);
-    switch (code) {
-      case StatusCode::Ok:
-        return Status();
-      case StatusCode::Cancelled:
-        return Status(code, "job cancelled");
-      case StatusCode::DeadlineExceeded:
-        return Status(code, "wall-clock deadline exceeded");
-      case StatusCode::InstLimitExceeded:
-        return Status(code, "instruction budget exhausted");
-      case StatusCode::CommitLimitExceeded:
-        return Status(code, "retired-work budget exhausted");
-      default:
-        return Status(code, "supervision trip");
-    }
-}
-
-bool
-Supervision::tripped() const
-{
-    return trip_.load(std::memory_order_acquire) != StatusCode::Ok;
-}
-
-Status
-Supervision::check()
-{
-    if (tripped())
-        return status();
-    if (cancel_ && cancel_->cancelled())
-        return Status(StatusCode::Cancelled, "job cancelled");
-    if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-        return Status(StatusCode::DeadlineExceeded,
-                      "wall-clock deadline exceeded");
-    }
-    return Status();
-}
-
-void
-Supervision::checkOrThrow()
-{
-    if (tripped())
-        throw StatusError(status());
-    if (cancel_ && cancel_->cancelled())
-        trip(StatusCode::Cancelled);
-    if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_)
-        trip(StatusCode::DeadlineExceeded);
-}
-
-void
-Supervision::consume(uint64_t executed, uint64_t committed)
-{
-    uint64_t total_exec =
-        executed_.fetch_add(executed, std::memory_order_relaxed) +
-        executed;
-    uint64_t total_commit =
-        committed_.fetch_add(committed, std::memory_order_relaxed) +
-        committed;
-    if (budget_.maxInsts != 0 && total_exec > budget_.maxInsts)
-        trip(StatusCode::InstLimitExceeded);
-    if (budget_.maxCommits != 0 && total_commit > budget_.maxCommits)
-        trip(StatusCode::CommitLimitExceeded);
-}
-
-uint64_t
-Supervision::instsRemaining() const
-{
-    if (budget_.maxInsts == 0)
-        return UINT64_MAX;
-    uint64_t used = executed_.load(std::memory_order_relaxed);
-    return used >= budget_.maxInsts ? 0 : budget_.maxInsts - used;
-}
-
-void
-Supervision::tripInstLimit()
-{
-    trip(StatusCode::InstLimitExceeded);
-}
-
-Supervision *
-currentSupervision()
-{
-    return tls_supervision;
-}
-
-SupervisionScope::SupervisionScope(Supervision *sup)
-    : prev_(tls_supervision)
-{
-    tls_supervision = sup;
-}
-
-SupervisionScope::~SupervisionScope()
-{
-    tls_supervision = prev_;
-}
-
-uint64_t
-retryDelayUs(const RetryPolicy &policy, uint64_t seed, size_t job,
-             unsigned attempt)
-{
-    MSSP_ASSERT(attempt >= 2);
-    unsigned shift = attempt - 2;
-    uint64_t base = policy.backoffBaseUs;
-    // Saturate the doubling instead of shifting into the void.
-    if (shift < 64 && (base << shift) >> shift == base)
-        base <<= shift;
-    else
-        base = policy.backoffMaxUs;
-    base = std::min(base, policy.backoffMaxUs);
-    if (base <= 1)
-        return base;
-    // Jitter into [base/2, base): streams keyed on (seed, job,
-    // attempt) only — wall time and scheduling never feed in.
-    Rng rng(Rng::mix(seed, job * 257 + attempt));
-    uint64_t half = base / 2;
-    return half + rng.below(base - half);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += strfmt("\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 QuarantineReport::toJson() const
@@ -209,10 +12,9 @@ QuarantineReport::toJson() const
     for (size_t i = 0; i < entries.size(); ++i) {
         const QuarantineEntry &e = entries[i];
         out += strfmt(
-            "%s{\"index\": %zu, \"label\": \"%s\", \"attempts\": %u, "
+            "%s{\"index\": %zu, \"label\": \"%s\", "
             "\"status\": \"%s\", \"message\": \"%s\"}",
-            i ? ", " : "", e.jobIndex,
-            jsonEscape(e.label).c_str(), e.attempts,
+            i ? ", " : "", e.jobIndex, jsonEscape(e.label).c_str(),
             toString(e.status.code()),
             jsonEscape(e.status.message()).c_str());
     }
@@ -225,10 +27,8 @@ QuarantineReport::summary() const
 {
     std::string s;
     for (const QuarantineEntry &e : entries) {
-        s += strfmt("  quarantined [%zu] %-24s after %u attempt(s): "
-                    "%s\n",
-                    e.jobIndex, e.label.c_str(), e.attempts,
-                    e.status.toString().c_str());
+        s += strfmt("  quarantined [%zu] %-24s %s\n", e.jobIndex,
+                    e.label.c_str(), e.status.toString().c_str());
     }
     return s;
 }

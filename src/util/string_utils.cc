@@ -1,6 +1,7 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace mssp
@@ -135,6 +136,44 @@ padRight(const std::string &s, size_t w)
     if (s.size() >= w)
         return s;
     return s + std::string(w - s.size(), ' ');
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    static const char hex[] = "0123456789abcdef";
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        auto u = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (u < 0x20) {
+            out += "\\u00";
+            out += hex[u >> 4];
+            out += hex[u & 0xf];
+        } else {
+            out += c;
+        }
+    }
+    return out;
+}
+
+void
+badFlagValue(std::string_view tool, std::string_view flag,
+             std::string_view text, std::string_view lo,
+             std::string_view hi)
+{
+    std::fprintf(stderr,
+                 "%.*s: bad value '%.*s' for %.*s (expected a number "
+                 "in [%.*s, %.*s])\n",
+                 static_cast<int>(tool.size()), tool.data(),
+                 static_cast<int>(text.size()), text.data(),
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(lo.size()), lo.data(),
+                 static_cast<int>(hi.size()), hi.data());
+    std::exit(2);
 }
 
 } // namespace mssp

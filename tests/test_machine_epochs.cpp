@@ -10,9 +10,9 @@
  *
  * Inputs: the 12 analogues under the default and the campaign
  * configuration, every fault type at intensity 10, the configuration
- * sweep's timing corners, a split run(k) + run(max), a supervised
- * inst-cap trip and resume, and random programs. The random-program
- * count scales with MSSP_FUZZ_ITERS (default 25); CI runs 500:
+ * sweep's timing corners, a split run(k) + run(max), and random
+ * programs. The random-program count scales with MSSP_FUZZ_ITERS
+ * (default 25); CI runs 500:
  *
  *   MSSP_FUZZ_ITERS=500 ./test_machine_epochs
  */
@@ -30,7 +30,6 @@
 #include "fault/fault.hh"
 #include "helpers.hh"
 #include "profile/profiler.hh"
-#include "sim/supervisor.hh"
 #include "workloads/micro.hh"
 #include "workloads/random_program.hh"
 #include "workloads/workloads.hh"
@@ -349,61 +348,6 @@ TEST(MachineEpochs, SplitRunMatchesOneShot)
         Trace split = lockstep(w, MsspConfig{}, {k, MaxCycles});
         expectSame(split, whole);
     }
-}
-
-TEST(MachineEpochs, SupervisedTripsAndResumes)
-{
-    // Run to completion in legs, each under a fresh inst cap small
-    // enough to trip at the leg's first poll: every trip must land on
-    // the same cycle with the same counters on both paths, so
-    // batching never moves or skips a poll.
-    setQuiet(true);
-    struct Trip
-    {
-        Cycle at;
-        MsspCounters counters;
-        uint64_t executed;
-
-        bool operator==(const Trip &) const = default;
-    };
-    auto legs = [](const PreparedWorkload &w, bool stepped,
-                   std::vector<Trip> *trips) {
-        MsspMachine machine(w.orig, w.dist, MsspConfig{});
-        Trace t;
-        for (;;) {
-            JobBudget budget;
-            budget.maxInsts = 300;
-            Supervision sup(budget);
-            SupervisionScope scope(&sup);
-            try {
-                t.result = stepped ? machine.runCycleStepped(MaxCycles)
-                                   : machine.run(MaxCycles);
-                break;
-            } catch (const StatusError &e) {
-                EXPECT_EQ(e.status().code(),
-                          StatusCode::InstLimitExceeded);
-                trips->push_back(
-                    {machine.now(), machine.counters(), sup.executed()});
-            }
-        }
-        t.counters = machine.counters();
-        std::ostringstream os;
-        machine.dumpStats(os);
-        t.stats = os.str();
-        return t;
-    };
-    size_t trips = 0;
-    for (const PreparedWorkload &w : analogues()) {
-        std::vector<Trip> batched_trips;
-        std::vector<Trip> stepped_trips;
-        Trace batched = legs(w, false, &batched_trips);
-        Trace stepped = legs(w, true, &stepped_trips);
-        trips += batched_trips.size();
-        EXPECT_TRUE(batched_trips == stepped_trips);
-        EXPECT_TRUE(batched.result.halted);
-        expectSame(batched, stepped);
-    }
-    EXPECT_GT(trips, 100u);
 }
 
 TEST(MachineEpochs, RandomPrograms)

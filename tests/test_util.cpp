@@ -95,6 +95,59 @@ TEST(StringUtils, ParseInt)
     EXPECT_FALSE(parseInt("0x", v));
 }
 
+TEST(StringUtils, ParseNumberUnsigned)
+{
+    EXPECT_EQ(parseNumber<unsigned>("8", 1, 1024), 8u);
+    EXPECT_EQ(parseNumber<unsigned>("1024", 1, 1024), 1024u);
+    EXPECT_EQ(parseNumber<uint64_t>("18446744073709551615", 0, UINT64_MAX),
+              UINT64_MAX);
+    // Empty, junk, a suffix, a sign or spaces.
+    for (const char *bad : {"", "abc", "12x", "0x10", " 5", "5 ", "+5",
+                            "-1", "-5", "1.5"}) {
+        EXPECT_FALSE(parseNumber<uint64_t>(bad, 0, UINT64_MAX)) << bad;
+    }
+    // Overflow of the type, and values outside the range.
+    EXPECT_FALSE(parseNumber<uint64_t>("18446744073709551616", 0,
+                                       UINT64_MAX));
+    EXPECT_FALSE(parseNumber<unsigned>("4294967296", 0, UINT32_MAX));
+    EXPECT_FALSE(parseNumber<unsigned>("0", 1, 1024));
+    EXPECT_FALSE(parseNumber<unsigned>("1025", 1, 1024));
+}
+
+TEST(StringUtils, ParseNumberReal)
+{
+    EXPECT_EQ(parseNumber<double>("0.05", 1e-3, 1e3), 0.05);
+    EXPECT_EQ(parseNumber<double>("1e1", 0, 1e6), 10.0);
+    EXPECT_EQ(parseNumber<double>("0", 0, 1), 0.0);
+    for (const char *bad : {"", "abc", "1.0x", " 1", "nan", "inf",
+                            "-0.5", "1e400"}) {
+        EXPECT_FALSE(parseNumber<double>(bad, 0, 1e6)) << bad;
+    }
+    EXPECT_FALSE(parseNumber<double>("0", 1e-3, 1e3));
+}
+
+TEST(StringUtils, FlagNumberExitsTwoNamingTheFlag)
+{
+    EXPECT_EQ(flagNumber<unsigned>("tool", "--slaves", "4", 1, 1024), 4u);
+    EXPECT_EXIT(flagNumber<unsigned>("tool", "--slaves", "-1", 1, 1024),
+                testing::ExitedWithCode(2),
+                "tool: bad value '-1' for --slaves \\(expected a "
+                "number in \\[1, 1024\\]\\)");
+    EXPECT_EXIT(flagNumber<double>("tool", "--scale", "abc", 1e-3, 1e3),
+                testing::ExitedWithCode(2), "--scale");
+}
+
+TEST(StringUtils, JsonEscape)
+{
+    EXPECT_EQ(jsonEscape("plain text"), "plain text");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb"), "a\\u000ab");
+    EXPECT_EQ(jsonEscape("a\x01" "b"), "a\\u0001b");
+    EXPECT_EQ(jsonEscape("\t\r\x1f"), "\\u0009\\u000d\\u001f");
+    EXPECT_EQ(jsonEscape("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
 TEST(Logging, StrFmt)
 {
     EXPECT_EQ(strfmt("%d-%s", 5, "x"), "5-x");

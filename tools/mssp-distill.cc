@@ -8,7 +8,6 @@
  *                [--theta T] [--no-valuespec] [--no-silentstores]
  *                [--task-size N] [--report] [--verify]
  *                [--speculate] [--adapt N]
- *                [--timeout-ms N] [--max-insts N]
  *
  * --workload NAME distills a registry analogue (workloads/
  * workloads.hh) instead of an input file; --scale sets its size.
@@ -31,16 +30,12 @@
  * original program comparing each baked constant against the values
  * the load actually reads (eval/crossval.hh).
  *
- * --timeout-ms / --max-insts arm a whole-invocation budget
- * (sim/supervisor.hh; env defaults MSSP_JOB_TIMEOUT_MS /
- * MSSP_JOB_MAX_INSTS) covering profiling and every dynamic
- * validation replay. A budget trip writes nothing and exits 4
- * (docs/LINT.md exit-code table).
+ * Exit status (docs/LINT.md exit-code table): 0 = written,
+ * 1 = failure, 2 = usage (including a bad numeric flag value).
  */
 
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "analysis/specplan.hh"
@@ -52,7 +47,6 @@
 #include "eval/adapt.hh"
 #include "eval/crossval.hh"
 #include "sim/logging.hh"
-#include "sim/supervisor.hh"
 #include "util/file.hh"
 #include "util/string_utils.hh"
 #include "workloads/workloads.hh"
@@ -61,6 +55,8 @@ using namespace mssp;
 
 namespace
 {
+
+constexpr const char *kTool = "mssp-distill";
 
 Program
 loadAny(const std::string &path)
@@ -83,7 +79,6 @@ main(int argc, char **argv)
     bool speculate = false;
     unsigned adapt_iters = 0;
     double scale = 1.0;
-    JobBudget budget = budgetFromEnv();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -94,32 +89,28 @@ main(int argc, char **argv)
         } else if (arg == "--workload" && i + 1 < argc) {
             workload_name = argv[++i];
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
+            scale = flagNumber<double>(kTool, arg, argv[++i],
+                                       1e-3, 1e3);
         } else if (arg == "--speculate") {
             speculate = true;
         } else if (arg == "--adapt" && i + 1 < argc) {
             speculate = true;
-            adapt_iters =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            adapt_iters = flagNumber<unsigned>(kTool, arg,
+                                               argv[++i], 0, 1000);
         } else if (arg == "--theta" && i + 1 < argc) {
-            opts.biasThreshold = std::atof(argv[++i]);
+            opts.biasThreshold = flagNumber<double>(
+                kTool, arg, argv[++i], 0, 1);
         } else if (arg == "--no-valuespec") {
             opts.enableValueSpec = false;
         } else if (arg == "--no-silentstores") {
             opts.enableSilentStoreElim = false;
         } else if (arg == "--task-size" && i + 1 < argc) {
-            opts.forkSelect.targetTaskSize =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+            opts.forkSelect.targetTaskSize = flagNumber<uint64_t>(
+                kTool, arg, argv[++i], 1, UINT32_MAX);
         } else if (arg == "--report") {
             show_report = true;
         } else if (arg == "--verify") {
             verify = true;
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            budget.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-insts" && i + 1 < argc) {
-            budget.maxInsts =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
         } else if (arg[0] != '-' && ref_path.empty()) {
             ref_path = arg;
         } else {
@@ -129,8 +120,7 @@ main(int argc, char **argv)
                          "[--theta T] [--no-valuespec] "
                          "[--no-silentstores] [--task-size N] "
                          "[--report] [--verify] "
-                         "[--speculate] [--adapt N] "
-                         "[--timeout-ms N] [--max-insts N]\n");
+                         "[--speculate] [--adapt N]\n");
             return 2;
         }
     }
@@ -154,13 +144,6 @@ main(int argc, char **argv)
     }
 
     try {
-        // Whole-invocation budget: profiling and every dynamic
-        // validation replay count against it.
-        Supervision sup(budget);
-        std::optional<SupervisionScope> scope;
-        if (budget.active())
-            scope.emplace(&sup);
-
         Program ref, train;
         if (!workload_name.empty()) {
             Workload wl = workloadByName(workload_name, scale);
@@ -260,9 +243,6 @@ main(int argc, char **argv)
         }
         if (show_report)
             std::fputs(w.dist.report.toString().c_str(), stdout);
-    } catch (const StatusError &e) {
-        std::fprintf(stderr, "mssp-distill: %s\n", e.what());
-        return isBudgetTrip(e.status().code()) ? 4 : 1;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "mssp-distill: %s\n", e.what());
         return 1;

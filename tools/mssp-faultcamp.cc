@@ -5,26 +5,21 @@
  *
  *   mssp-faultcamp [--workloads gzip,mcf,...] [--types a,b,...]
  *                  [--intensities 1,10] [--scale F] [--seed N]
- *                  [--max-cycles N] [--json FILE] [--quiet]
- *                  [--list-types] [--timeout-ms N] [--max-insts N]
- *                  [--retries N] [--chaos SEED]
+ *                  [--max-cycles N] [--jobs N] [--json FILE]
+ *                  [--quiet] [--list-types]
  *
- * Cells run supervised (sim/supervisor.hh): --timeout-ms /
- * --max-insts bound each attempt (env defaults MSSP_JOB_TIMEOUT_MS /
- * MSSP_JOB_MAX_INSTS), --retries sets the strikes before quarantine,
- * and --chaos enables the deterministic host-chaos preset
- * (fault/hostchaos.hh) with the given seed.
+ * Each cell runs once; a cell whose job throws is quarantined
+ * (sim/supervisor.hh) and the sweep goes on.
  *
  * Exit status (docs/LINT.md): 0 when every run satisfied all
  * invariants AND every swept fault type injected at least once;
  * 5 when the only blemish is quarantined cells (their structured
- * statuses are in the report); 1 otherwise. The JSON report is
- * byte-deterministic for fixed options (CI runs the sweep twice and
- * diffs) — except quarantines decided by the wall-clock deadline,
- * which are host-timing dependent by nature.
+ * statuses are in the report); 2 on bad usage (including a bad
+ * numeric flag value); 1 otherwise. The JSON report (schema
+ * mssp-faultcamp-v3) is byte-deterministic for fixed options (CI
+ * runs the sweep twice and diffs).
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -41,6 +36,8 @@ using namespace mssp;
 
 namespace
 {
+
+constexpr const char *kTool = "mssp-faultcamp";
 
 std::vector<std::string>
 splitList(const std::string &s)
@@ -61,9 +58,7 @@ usage()
         "usage: mssp-faultcamp [--workloads a,b,...] [--types a,b,...]\n"
         "                      [--intensities 1,10] [--scale F]\n"
         "                      [--seed N] [--max-cycles N] [--jobs N]\n"
-        "                      [--json FILE] [--quiet] [--list-types]\n"
-        "                      [--timeout-ms N] [--max-insts N]\n"
-        "                      [--retries N] [--chaos SEED]\n");
+        "                      [--json FILE] [--quiet] [--list-types]\n");
     return 2;
 }
 
@@ -74,7 +69,6 @@ main(int argc, char **argv)
 {
     CampaignOptions opts;
     opts.jobs = defaultJobs();
-    opts.cellBudget = budgetFromEnv();
     std::string json_path;
     bool quiet = false;
 
@@ -97,29 +91,20 @@ main(int argc, char **argv)
             }
         } else if (arg == "--intensities" && i + 1 < argc) {
             opts.intensities.clear();
-            for (const std::string &v : splitList(argv[++i]))
-                opts.intensities.push_back(std::atof(v.c_str()));
+            for (const std::string &v : splitList(argv[++i])) {
+                opts.intensities.push_back(
+                    flagNumber<double>(kTool, arg, v, 0, 1e6));
+            }
         } else if (arg == "--scale" && i + 1 < argc) {
-            opts.scale = std::atof(argv[++i]);
+            opts.scale = flagNumber<double>(kTool, arg, argv[++i], 1e-3, 1e3);
         } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+            opts.seed =
+                flagNumber<uint64_t>(kTool, arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--max-cycles" && i + 1 < argc) {
             opts.maxCycles =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+                flagNumber<uint64_t>(kTool, arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = std::max(1, std::atoi(argv[++i]));
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            opts.cellBudget.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-insts" && i + 1 < argc) {
-            opts.cellBudget.maxInsts =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--retries" && i + 1 < argc) {
-            opts.retry.maxAttempts = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-        } else if (arg == "--chaos" && i + 1 < argc) {
-            opts.chaos = HostChaosPlan::preset(
-                static_cast<uint64_t>(std::atoll(argv[++i])));
+            opts.jobs = flagNumber<unsigned>(kTool, arg, argv[++i], 1, 1024);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--quiet") {

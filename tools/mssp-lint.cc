@@ -47,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,7 @@ emitJsonError(const char *schema, const std::string &message,
 {
     std::printf("{\"schema\": \"%s\", \"error\": \"%s\", \"usage\": "
                 "%s}\n",
-                schema, analysis::escapeReportJson(message).c_str(),
+                schema, jsonEscape(message).c_str(),
                 usage_error ? "true" : "false");
 }
 
@@ -105,6 +106,16 @@ usage(bool json, const char *schema)
         "NAME[,NAME...]|all [--jobs N] [--scale X] "
         "[--json | --report=json]\n");
     return 3;
+}
+
+/** A bad numeric flag value: a usage error naming the flag. */
+int
+badValue(bool json, const char *schema, const std::string &flag,
+         const char *text)
+{
+    std::fprintf(stderr, "mssp-lint: bad value '%s' for %s\n", text,
+                 flag.c_str());
+    return usage(json, schema);
 }
 
 /** The unified exit-code contract (docs/LINT.md): 0 clean, 1
@@ -168,13 +179,17 @@ main(int argc, char **argv)
         } else if (arg == "--workloads" && i + 1 < argc) {
             workloads_arg = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (jobs == 0)
-                jobs = 1;
+            std::optional<unsigned> v =
+                parseNumber<unsigned>(argv[++i], 1, 1024);
+            if (!v)
+                return badValue(json, schema, arg, argv[i]);
+            jobs = *v;
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
-            if (scale <= 0)
-                return usage(json, schema);
+            std::optional<double> v =
+                parseNumber<double>(argv[++i], 1e-3, 1e3);
+            if (!v)
+                return badValue(json, schema, arg, argv[i]);
+            scale = *v;
         } else if (arg == "--json" || arg == "--report=json" ||
                    arg == "--semantic" || arg == "--specsafe" ||
                    arg == "--plan") {

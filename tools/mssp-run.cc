@@ -5,7 +5,6 @@
  *   mssp-run prog.{s,mo} [--mssp dist.mdo] [--slaves N]
  *            [--fork-latency N] [--commit-latency N] [--stats]
  *            [--site-stats] [--max-cycles N] [--compare]
- *            [--timeout-ms N] [--max-insts N]
  *
  * With --mssp, runs the MSSP machine using the given distilled
  * object; --compare additionally runs the sequential oracle and
@@ -19,17 +18,14 @@
  * cores on ref (src/exec/engine.hh); architectural results are the
  * same on either engine.
  *
- * --timeout-ms / --max-insts arm a whole-invocation budget
- * (sim/supervisor.hh; env defaults MSSP_JOB_TIMEOUT_MS /
- * MSSP_JOB_MAX_INSTS). A budget trip exits 4 (docs/LINT.md exit-code
- * table): 0 = halted, 1 = fault/limit/mismatch, 2 = usage,
- * 4 = budget exceeded.
+ * Exit status (docs/LINT.md exit-code table): 0 = halted,
+ * 1 = fault/limit/mismatch, 2 = usage (including a bad numeric flag
+ * value).
  */
 
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "asm/assembler.hh"
@@ -37,7 +33,6 @@
 #include "exec/seq_machine.hh"
 #include "mssp/machine.hh"
 #include "sim/logging.hh"
-#include "sim/supervisor.hh"
 #include "util/file.hh"
 #include "util/string_utils.hh"
 
@@ -45,6 +40,8 @@ using namespace mssp;
 
 namespace
 {
+
+constexpr const char *kTool = "mssp-run";
 
 Program
 loadAny(const std::string &path)
@@ -71,29 +68,23 @@ main(int argc, char **argv)
     MsspConfig cfg;
     bool stats = false, site_stats = false, compare = false;
     uint64_t max_cycles = 1000000000ull;
-    JobBudget budget = budgetFromEnv();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--mssp" && i + 1 < argc) {
             dist_path = argv[++i];
         } else if (arg == "--slaves" && i + 1 < argc) {
-            cfg.numSlaves = static_cast<unsigned>(
-                std::atoi(argv[++i]));
+            cfg.numSlaves =
+                flagNumber<unsigned>(kTool, arg, argv[++i], 1, 1024);
         } else if (arg == "--fork-latency" && i + 1 < argc) {
-            cfg.forkLatency = static_cast<Cycle>(
-                std::atoll(argv[++i]));
+            cfg.forkLatency = flagNumber<Cycle>(kTool, arg, argv[++i],
+                                                0, UINT32_MAX);
         } else if (arg == "--commit-latency" && i + 1 < argc) {
-            cfg.commitLatency = static_cast<Cycle>(
-                std::atoll(argv[++i]));
+            cfg.commitLatency = flagNumber<Cycle>(
+                kTool, arg, argv[++i], 0, UINT32_MAX);
         } else if (arg == "--max-cycles" && i + 1 < argc) {
-            max_cycles = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            budget.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-insts" && i + 1 < argc) {
-            budget.maxInsts =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+            max_cycles = flagNumber<uint64_t>(kTool, arg, argv[++i],
+                                              0, UINT64_MAX);
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--site-stats") {
@@ -108,8 +99,7 @@ main(int argc, char **argv)
                          "[--mssp dist.mdo] [--slaves N] "
                          "[--fork-latency N] [--commit-latency N] "
                          "[--max-cycles N] [--stats] [--site-stats] "
-                         "[--compare] "
-                         "[--timeout-ms N] [--max-insts N]\n");
+                         "[--compare]\n");
             return 2;
         }
     }
@@ -119,13 +109,6 @@ main(int argc, char **argv)
     }
 
     try {
-        // Whole-invocation budget: the deadline arms here, so load +
-        // run + compare all count against it.
-        Supervision sup(budget);
-        std::optional<SupervisionScope> scope;
-        if (budget.active())
-            scope.emplace(&sup);
-
         Program prog = loadAny(prog_path);
 
         if (dist_path.empty()) {
@@ -187,9 +170,6 @@ main(int argc, char **argv)
             return same ? 0 : 1;
         }
         return r.halted ? 0 : 1;
-    } catch (const StatusError &e) {
-        std::fprintf(stderr, "mssp-run: %s\n", e.what());
-        return isBudgetTrip(e.status().code()) ? 4 : 1;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "mssp-run: %s\n", e.what());
         return 1;

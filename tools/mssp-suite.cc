@@ -11,29 +11,20 @@
  *   mssp-suite [--workloads gzip,mcf,...] [--scale F] [--seed N]
  *              [--jobs N] [--intensities 1,10] [--max-cycles N]
  *              [--run-max-cycles N] [--json FILE] [--quiet]
- *              [--timeout-ms N] [--max-insts N] [--retries N]
- *              [--chaos SEED]
  *
- * Every job runs supervised (sim/supervisor.hh): --timeout-ms /
- * --max-insts bound each attempt (env defaults MSSP_JOB_TIMEOUT_MS /
- * MSSP_JOB_MAX_INSTS), --retries sets the strikes before quarantine,
- * and --chaos enables the deterministic host-chaos preset
- * (fault/hostchaos.hh) with the given seed — the CI chaos job runs
- * the full suite under it.
+ * Every job runs once; a job that throws is quarantined
+ * (sim/supervisor.hh) and the sweep goes on.
  *
  * Exit status (docs/LINT.md): 0 when every workload passed every
  * evaluation gate AND the campaign held every invariant with every
  * fault type firing; 5 when the only blemish is quarantined jobs;
- * 1 otherwise. The JSON report (schema mssp-suite-v5) is
- * byte-deterministic for fixed options regardless of --jobs: CI runs
- * the suite sharded, reruns it with --jobs 1, and diffs the bytes
- * (wall-clock-deadline quarantines excepted — they are host-timing
- * dependent by nature).
+ * 2 on bad usage (including a bad numeric flag value); 1 otherwise.
+ * The JSON report (schema mssp-suite-v6) is byte-deterministic for
+ * fixed options regardless of --jobs: CI runs the suite sharded,
+ * reruns it with --jobs 1, and diffs the bytes.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -48,6 +39,8 @@ using namespace mssp;
 
 namespace
 {
+
+constexpr const char *kTool = "mssp-suite";
 
 std::vector<std::string>
 splitList(const std::string &s)
@@ -68,9 +61,7 @@ usage()
         "usage: mssp-suite [--workloads a,b,...] [--scale F]\n"
         "                  [--seed N] [--jobs N] [--intensities 1,10]\n"
         "                  [--max-cycles N] [--run-max-cycles N]\n"
-        "                  [--json FILE] [--quiet]\n"
-        "                  [--timeout-ms N] [--max-insts N]\n"
-        "                  [--retries N] [--chaos SEED]\n");
+        "                  [--json FILE] [--quiet]\n");
     return 2;
 }
 
@@ -81,7 +72,6 @@ main(int argc, char **argv)
 {
     SuiteOptions opts;
     opts.jobs = defaultJobs();
-    opts.jobBudget = budgetFromEnv();
     std::string json_path;
     bool quiet = false;
 
@@ -90,34 +80,24 @@ main(int argc, char **argv)
         if (arg == "--workloads" && i + 1 < argc) {
             opts.workloads = splitList(argv[++i]);
         } else if (arg == "--scale" && i + 1 < argc) {
-            opts.scale = std::atof(argv[++i]);
+            opts.scale = flagNumber<double>(kTool, arg, argv[++i], 1e-3, 1e3);
         } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+            opts.seed =
+                flagNumber<uint64_t>(kTool, arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
+            opts.jobs = flagNumber<unsigned>(kTool, arg, argv[++i], 1, 1024);
         } else if (arg == "--intensities" && i + 1 < argc) {
             opts.intensities.clear();
-            for (const std::string &v : splitList(argv[++i]))
-                opts.intensities.push_back(std::atof(v.c_str()));
+            for (const std::string &v : splitList(argv[++i])) {
+                opts.intensities.push_back(
+                    flagNumber<double>(kTool, arg, v, 0, 1e6));
+            }
         } else if (arg == "--max-cycles" && i + 1 < argc) {
             opts.campaignMaxCycles =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+                flagNumber<uint64_t>(kTool, arg, argv[++i], 0, UINT64_MAX);
         } else if (arg == "--run-max-cycles" && i + 1 < argc) {
             opts.runMaxCycles =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            opts.jobBudget.timeoutMs =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-insts" && i + 1 < argc) {
-            opts.jobBudget.maxInsts =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--retries" && i + 1 < argc) {
-            opts.retry.maxAttempts = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-        } else if (arg == "--chaos" && i + 1 < argc) {
-            opts.chaos = HostChaosPlan::preset(
-                static_cast<uint64_t>(std::atoll(argv[++i])));
+                flagNumber<uint64_t>(kTool, arg, argv[++i], 1, UINT64_MAX);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--quiet") {
