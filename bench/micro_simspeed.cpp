@@ -115,6 +115,9 @@ enum class MachineCase
      *  average (0.26 is the smallest scale keeping the mean >= 500),
      *  so fork cost shows up in the timing. */
     BigCheckpoint,
+    /** Campaign config under one seeded master-reg-flip plan: the
+     *  machine batches the master's per-cycle misses. */
+    MasterFlip,
 };
 
 void
@@ -132,10 +135,14 @@ BM_MsspMachine(benchmark::State &state, MachineCase mcase)
                                    SpeculateOptions{});
     MsspConfig cfg;
     std::vector<FaultPlan> plans;
-    if (mcase == MachineCase::Faults) {
+    if (mcase == MachineCase::Faults || mcase == MachineCase::MasterFlip) {
         cfg = campaignConfig();
         // Intensity 10, as the campaigns' stress cells.
-        for (FaultType t : {FaultType::SpawnDrop, FaultType::SlaveStall}) {
+        std::vector<FaultType> types = {FaultType::SpawnDrop,
+                                        FaultType::SlaveStall};
+        if (mcase == MachineCase::MasterFlip)
+            types = {FaultType::MasterRegFlip};
+        for (FaultType t : types) {
             FaultPlan plan;
             plan.type = t;
             plan.rate = faultBaseRate(t) * 10.0;
@@ -195,6 +202,7 @@ BENCHMARK_CAPTURE(BM_MsspMachine, base, MachineCase::Base);
 BENCHMARK_CAPTURE(BM_MsspMachine, speculated, MachineCase::Speculated);
 BENCHMARK_CAPTURE(BM_MsspMachine, faults, MachineCase::Faults);
 BENCHMARK_CAPTURE(BM_MsspMachine, bigckpt, MachineCase::BigCheckpoint);
+BENCHMARK_CAPTURE(BM_MsspMachine, masterflip, MachineCase::MasterFlip);
 
 void
 BM_Assembler(benchmark::State &state)

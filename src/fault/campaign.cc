@@ -145,6 +145,7 @@ runCampaignCell(const std::string &name, const SeqOracle &oracle,
     run.injections = injector.counters().count(type);
     run.recovery = machine.counters();
     run.seqBackoff = machine.currentSeqBackoff();
+    run.epochs = machine.epochStats();
 
     run.forwardProgress = res.halted;
     run.outputOk = res.halted && res.outputs == oracle.outputs;
@@ -272,6 +273,35 @@ CampaignReport::toJson() const
 }
 
 std::string
+CampaignReport::epochStatsJson() const
+{
+    std::string out =
+        "{\"schema\": \"mssp-epochstats-v1\",\n \"cells\": [\n";
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const CampaignRun &r = runs[i];
+        const EpochStats &e = r.epochs;
+        out += strfmt(
+            "  {\"workload\": \"%s\", \"type\": \"%s\", "
+            "\"intensity\": %s, \"cycles\": %llu, \"epochs\": %llu, "
+            "\"batchedCycles\": %llu, \"fallbacks\": {",
+            r.workload.c_str(), toString(r.type),
+            fmtRate(r.intensity).c_str(),
+            static_cast<unsigned long long>(r.cycles),
+            static_cast<unsigned long long>(e.epochs),
+            static_cast<unsigned long long>(e.batchedCycles));
+        for (size_t f = 0; f < NumEpochFallbacks; ++f) {
+            out += strfmt("%s\"%s\": %llu", f ? ", " : "",
+                          toString(static_cast<EpochFallback>(f)),
+                          static_cast<unsigned long long>(
+                              e.fallbacks[f]));
+        }
+        out += strfmt("}}%s\n", i + 1 < runs.size() ? "," : "");
+    }
+    out += " ]}\n";
+    return out;
+}
+
+std::string
 CampaignReport::summary() const
 {
     std::string s = strfmt(
@@ -324,6 +354,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
     {
         std::string workload;
         FaultType type;
+        double intensity;
         double rate;
         uint64_t seed;
         uint64_t index;
@@ -335,7 +366,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
             for (double intensity : report.options.intensities) {
                 double rate = std::min(
                     1.0, faultBaseRate(type) * intensity);
-                cells.push_back({name, type, rate,
+                cells.push_back({name, type, intensity, rate,
                                  Rng::mix(opts.seed, run_index),
                                  ++run_index});
             }
@@ -374,6 +405,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
             CampaignRun run = runCampaignCell(
                 cell.workload, oracle, cell.type, cell.rate,
                 cell.seed, campaignBudget(opts, oracle.insts));
+            run.intensity = cell.intensity;
             if (log) {
                 // Progress lines stream as cells finish (completion
                 // order under --jobs > 1); the JSON report is the

@@ -84,6 +84,8 @@ struct CampaignRun
     std::string workload;
     FaultType type = FaultType::None;
     double rate = 0.0;
+    /** The sweep's rate multiplier (0 outside runFaultCampaign). */
+    double intensity = 0.0;
     uint64_t seed = 0;
 
     uint64_t injections = 0;     ///< of this run's type
@@ -102,6 +104,9 @@ struct CampaignRun
     /** Sequential-backoff length when the run ended (0 = fully
      *  recovered). */
     uint64_t seqBackoff = 0;
+    /** How the host advanced the machine (deterministic, but not part
+     *  of the campaign JSON: see CampaignReport::epochStatsJson). */
+    EpochStats epochs;
 
     bool
     ok() const
@@ -137,6 +142,11 @@ struct CampaignReport
 
     /** Human-readable result table. */
     std::string summary() const;
+
+    /** Per-cell epoch statistics (schema mssp-epochstats-v1;
+     *  docs/SCHEMAS.md): how much of each cell the machine batched
+     *  and why it stepped the rest. Byte-deterministic too. */
+    std::string epochStatsJson() const;
 };
 
 /** The machine configuration campaigns run under: default timing with

@@ -77,6 +77,37 @@ FaultInjector::FaultInjector(uint64_t seed, std::vector<FaultPlan> plans)
     }
 }
 
+uint64_t
+FaultInjector::missesBeforeHit(FaultType t)
+{
+    uint64_t pos = rng_.position();
+    if (scan_type_ == t) {
+        // Past the cached hit, the distance wraps to ~2^64.
+        uint64_t d = Rng::drawsBetween(pos, scan_hit_);
+        if (d >= 1 && d <= MaxHitScan + 1)
+            return d - 1;
+    }
+    double rate = plans_[static_cast<size_t>(t)].rate;
+    uint64_t k = 1;
+    while (k <= MaxHitScan && !(Rng::unit(rng_.peek(k)) < rate))
+        ++k;
+    scan_type_ = t;
+    scan_hit_ = pos + k * Rng::Gamma;
+    return k - 1;
+}
+
+unsigned
+FaultInjector::forkDrawBound() const
+{
+    // Per corruptCheckpoint below: CheckpointCorrupt takes its fire
+    // draw, an insert-or-drop draw, then up to three more (cell kind,
+    // cell, value); LiveInFlip its fire draw, a pick and a bit.
+    return (armed(FaultType::CheckpointCorrupt) ? 5 : 0) +
+           (armed(FaultType::LiveInFlip) ? 3 : 0) +
+           (armed(FaultType::SpawnDrop) ? 1 : 0) +
+           (armed(FaultType::SpawnDelay) ? 1 : 0);
+}
+
 void
 FaultInjector::corruptCheckpoint(Checkpoint &ckpt)
 {
@@ -120,18 +151,15 @@ Cycle
 FaultInjector::onSlaveTick(int slave_id, bool *kill_task)
 {
     *kill_task = false;
-    const FaultPlan &kill = plans_[static_cast<size_t>(
-        FaultType::SlaveKill)];
-    if ((kill.target < 0 || kill.target == slave_id) &&
+    if (targetsSlave(FaultType::SlaveKill, slave_id) &&
         fire(FaultType::SlaveKill)) {
         *kill_task = true;
         return 0;
     }
-    const FaultPlan &stall = plans_[static_cast<size_t>(
-        FaultType::SlaveStall)];
-    if ((stall.target < 0 || stall.target == slave_id) &&
+    if (targetsSlave(FaultType::SlaveStall, slave_id) &&
         fire(FaultType::SlaveStall)) {
-        return stall.stallCycles;
+        return plans_[static_cast<size_t>(FaultType::SlaveStall)]
+            .stallCycles;
     }
     return 0;
 }

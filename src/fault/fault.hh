@@ -80,8 +80,9 @@ struct FaultPlan
      *  attempt (spurious squash), per cycle the Spec-mode master runs
      *  (master faults, image patch) or per cycle per slave holding an
      *  unfinished task, paused or stalled ones included (stall/kill).
-     *  An armed per-cycle plan makes each of its draw cycles an event
-     *  for the machine's epoch rule (DESIGN.md §8). */
+     *  When one per-cycle plan is armed alone, the machine batches the
+     *  cycles whose draws miss and skips those draws in the stream;
+     *  only a cycle that may hit is stepped (DESIGN.md §8). */
     double rate = 0.0;
     uint64_t seed = 1;
     /** Restrict to one target (slave id for slave faults, register
@@ -149,6 +150,28 @@ class FaultInjector
         return true;
     }
 
+    // -- Draw horizons (the machine's epoch rule, DESIGN.md §8) ----------
+
+    /** Longest look-ahead of missesBeforeHit(): past it, the next
+     *  draw is treated as a possible hit. */
+    static constexpr uint64_t MaxHitScan = uint64_t{1} << 22;
+
+    /**
+     * How many of the stream's next draws miss type @p t's rate before
+     * one that may hit (at most MaxHitScan). Consumes nothing; @p t
+     * must be armed. Draws other consumers take before that hit miss
+     * for every consumer, so the hit's stream position is cached and
+     * the answer stays exact until the position itself is consumed.
+     */
+    uint64_t missesBeforeHit(FaultType t);
+
+    /** Consume @p n draws known to miss (see missesBeforeHit). */
+    void skip(uint64_t n) { rng_.skip(n); }
+
+    /** The most draws one fork can take: corruptCheckpoint, dropSpawn
+     *  and spawnDelay with the plans armed now. */
+    unsigned forkDrawBound() const;
+
     // -- Fork hook --------------------------------------------------------
 
     /**
@@ -186,6 +209,14 @@ class FaultInjector
      */
     Cycle onSlaveTick(int slave_id, bool *kill_task);
 
+    /** True when type @p t's plan may target slave @p slave_id. */
+    bool
+    targetsSlave(FaultType t, int slave_id) const
+    {
+        int target = plans_[static_cast<size_t>(t)].target;
+        return target < 0 || target == slave_id;
+    }
+
     // -- Draw primitives for machine-applied faults -----------------------
     // (MasterRegFlip / MasterPcCorrupt / ImagePatch corrupt state the
     // injector cannot see; the machine calls fire() then shapes the
@@ -217,6 +248,10 @@ class FaultInjector
     std::array<FaultPlan, NumFaultTypes> plans_;
     FaultCounters counters_;
     Rng rng_;
+    /** missesBeforeHit's cache: the type scanned last and the stream
+     *  position of its hit (or of the draw past the scan cap). */
+    FaultType scan_type_ = FaultType::None;
+    uint64_t scan_hit_ = 0;
 };
 
 } // namespace mssp

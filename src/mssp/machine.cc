@@ -21,8 +21,27 @@ toString(StopReason r)
     return "?";
 }
 
+const char *
+toString(EpochFallback r)
+{
+    switch (r) {
+      case EpochFallback::Ipc:         return "ipc";
+      case EpochFallback::FaultDraws:  return "fault-draws";
+      case EpochFallback::Undelivered: return "undelivered";
+      case EpochFallback::OpenHead:    return "open-head";
+    }
+    return "?";
+}
+
 namespace
 {
+
+/** True for the per-cycle plans slaves draw (the rest: the master). */
+bool
+slaveFault(FaultType t)
+{
+    return t == FaultType::SlaveKill || t == FaultType::SlaveStall;
+}
 
 /** Non-speculative execution context: directly on architected state. */
 class SeqArchContext final : public ExecContext
@@ -407,11 +426,16 @@ void
 MsspMachine::injectSlaveFaults()
 {
     for (auto &slave : slaves_) {
+        // A slave an epoch ran ahead still holds its task at this
+        // cycle, whatever it has since done with it.
         Task *t = slave.task();
-        if (!t || t->done())
+        bool ahead = slave.aheadOf(now_);
+        if ((!t || t->done()) && !ahead)
             continue;
         bool kill = false;
         Cycle stall = injector_->onSlaveTick(slave.id(), &kill);
+        // The epoch rule keeps hits off ahead slaves (DESIGN.md §8).
+        MSSP_ASSERT(!ahead || (!kill && stall == 0));
         if (kill) {
             // The core died mid-task. Its task stays incomplete in
             // the window (no slave will ever pick it up again), so
@@ -691,31 +715,88 @@ MsspMachine::stepCycle()
 }
 
 bool
-MsspMachine::epochFallback(EpochFallback *reason)
+MsspMachine::drawsNow(FaultType t)
+{
+    if (slaveFault(t)) {
+        for (SlaveCore &slave : slaves_) {
+            Task *task = slave.task();
+            if (injector_->targetsSlave(t, slave.id()) &&
+                ((task && !task->done()) || slave.aheadOf(now_)))
+                return true;
+        }
+        return false;
+    }
+    return mode_ == Mode::Spec && master_.running();
+}
+
+uint64_t
+MsspMachine::targetedIdleCycles(FaultType t) const
+{
+    uint64_t idle = 0;
+    for (const SlaveCore &slave : slaves_) {
+        if (injector_->targetsSlave(t, slave.id()))
+            idle += slave.idleCycles();
+    }
+    return idle;
+}
+
+bool
+MsspMachine::planEpochDraws(EpochDraws *draws)
+{
+    // The per-cycle plans that can draw at all (injectMasterFaults
+    // draws the PC and image faults only with a patchable image).
+    unsigned drawing = 0;
+    unsigned drawing_now = 0;
+    for (FaultType t : {FaultType::MasterRegFlip,
+                        FaultType::MasterPcCorrupt, FaultType::ImagePatch,
+                        FaultType::SlaveKill, FaultType::SlaveStall}) {
+        bool needs_image = t == FaultType::MasterPcCorrupt ||
+                           t == FaultType::ImagePatch;
+        if (!injector_->armed(t) || (needs_image && dist_code_addrs_.empty()))
+            continue;
+        ++drawing;
+        if (drawsNow(t)) {
+            draws->type = t;
+            ++drawing_now;
+        }
+    }
+    if (drawing_now == 0)
+        return true;
+    if (drawing > 1) {
+        // Two plans interleave their draws cycle by cycle.
+        return false;
+    }
+    // One plan draws alone. Master plans draw once per cycle the
+    // master runs (or stalls), and it does on every cycle of a Spec
+    // epoch. Slave plans draw once per targeted slave holding its
+    // task; the head may run past the epoch's end and still hold its
+    // task at the stepped cycles after it, which may fork. So bound
+    // every cycle's draws by the targeted slaves plus a fork's draws:
+    // no hit can then reach a slave simulated ahead.
+    uint64_t per_cycle = 1;
+    if (slaveFault(draws->type)) {
+        for (const SlaveCore &slave : slaves_)
+            draws->slaves += injector_->targetsSlave(draws->type,
+                                                     slave.id());
+        draws->idle = targetedIdleCycles(draws->type);
+        per_cycle = draws->slaves + injector_->forkDrawBound();
+    }
+    draws->limit =
+        now_ + injector_->missesBeforeHit(draws->type) / per_cycle;
+    return draws->limit > now_;
+}
+
+bool
+MsspMachine::epochFallback(EpochFallback *reason, EpochDraws *draws)
 {
     if (cfg_.masterIpc != 1.0 || cfg_.slaveIpc != 1.0) {
         // Budgets then carry fractions from cycle to cycle.
         *reason = EpochFallback::Ipc;
         return true;
     }
-    if (injector_) {
-        bool master_draws =
-            mode_ == Mode::Spec && master_.running() &&
-            (injector_->armed(FaultType::MasterRegFlip) ||
-             injector_->armed(FaultType::MasterPcCorrupt) ||
-             injector_->armed(FaultType::ImagePatch));
-        bool slave_draws = false;
-        if (injector_->armed(FaultType::SlaveKill) ||
-            injector_->armed(FaultType::SlaveStall)) {
-            for (SlaveCore &slave : slaves_) {
-                if (Task *t = slave.task(); t && !t->done())
-                    slave_draws = true;
-            }
-        }
-        if (master_draws || slave_draws) {
-            *reason = EpochFallback::FaultDraws;
-            return true;
-        }
+    if (injector_ && !planEpochDraws(draws)) {
+        *reason = EpochFallback::FaultDraws;
+        return true;
     }
     if (!arrived_.empty()) {
         // A slave freed mid-span would take the task at once.
@@ -785,11 +866,14 @@ void
 MsspMachine::advanceEpoch(Cycle max_cycles)
 {
     EpochFallback reason;
-    if (epochFallback(&reason)) {
+    EpochDraws draws;
+    if (epochFallback(&reason, &draws)) {
         ++epoch_stats_.fallbacks[static_cast<size_t>(reason)];
         return;
     }
-    Cycle horizon = staticHorizon(max_cycles);
+    // Clipped before any core runs: the head must not run past a
+    // cycle whose fault draw may hit.
+    Cycle horizon = std::min(staticHorizon(max_cycles), draws.limit);
     if (horizon <= now_)
         return;
     Cycle start = now_;
@@ -862,6 +946,18 @@ MsspMachine::advanceEpoch(Cycle max_cycles)
     if (now_ > start) {
         ++epoch_stats_.epochs;
         epoch_stats_.batchedCycles += now_ - start;
+        if (draws.type != FaultType::None) {
+            // Every draw in the span missed: the master drew on each
+            // cycle; a slave on each cycle through its task's
+            // completion (the draw precedes the tick), i.e. on each
+            // cycle it was not idle.
+            uint64_t n = now_ - start;
+            if (draws.slaves) {
+                n = n * draws.slaves -
+                    (targetedIdleCycles(draws.type) - draws.idle);
+            }
+            injector_->skip(n);
+        }
     }
 }
 

@@ -51,6 +51,7 @@ namespace mssp
 {
 
 class FaultInjector;
+enum class FaultType : uint8_t;
 
 /** Why a run ended (one authoritative reason, not three bools). */
 enum class StopReason : uint8_t
@@ -113,12 +114,15 @@ struct MsspResult
 enum class EpochFallback : uint8_t
 {
     Ipc,          ///< masterIpc or slaveIpc is not 1.0
-    FaultDraws,   ///< a per-cycle fault plan draws this cycle
+    FaultDraws,   ///< two per-cycle fault plans draw, or one may hit
     Undelivered,  ///< a spawned task is still waiting for a slave
     OpenHead,     ///< the running head task's end is still unknown
 };
 
 constexpr size_t NumEpochFallbacks = 4;
+
+/** "ipc" / "fault-draws" / "undelivered" / "open-head". */
+const char *toString(EpochFallback r);
 
 /**
  * Host-side counts of the epoch rule (DESIGN.md §8). Deliberately
@@ -228,8 +232,30 @@ class MsspMachine
      * applies.
      */
     void advanceEpoch(Cycle max_cycles);
-    /** The reason batching cannot be exact at now_, if any. */
-    bool epochFallback(EpochFallback *reason);
+    /** The per-cycle fault draws an epoch from now_ stands for. */
+    struct EpochDraws
+    {
+        /** The lone armed per-cycle plan drawing at now_ (None when
+         *  nothing draws). */
+        FaultType type{};
+        /** First cycle whose draws may hit (stepped, never batched). */
+        Cycle limit = ~Cycle{0};
+        /** Slave plans: the slaves targeted, and the sum of their
+         *  idle cycles at now_ (draws = busy slave-cycles). */
+        unsigned slaves = 0;
+        uint64_t idle = 0;
+    };
+
+    /** The reason batching cannot be exact at now_, if any; otherwise
+     *  the fault draws the epoch must stop short of and skip. */
+    bool epochFallback(EpochFallback *reason, EpochDraws *draws);
+    /** False when fault draws force a stepped cycle at now_: two
+     *  per-cycle plans draw, or the lone one may hit now. */
+    bool planEpochDraws(EpochDraws *draws);
+    /** True when per-cycle plan @p t draws at now_. */
+    bool drawsNow(FaultType t);
+    /** Idle cycles summed over the slaves plan @p t targets. */
+    uint64_t targetedIdleCycles(FaultType t) const;
     /** The earliest event known before any core runs. */
     Cycle staticHorizon(Cycle max_cycles) const;
     /** Seq-mode epoch: one slice up to @p horizon, ending early at a

@@ -15,22 +15,48 @@
 namespace mssp
 {
 
-/** xoshiro-style splitmix64 generator; small, fast, deterministic. */
+/**
+ * splitmix64 generator; small, fast, deterministic. Its state is a
+ * counter: each draw adds Gamma and returns a hash of the sum. So a
+ * stream can skip draws in O(1) and look at a future draw without
+ * consuming it (the fault injector's hit scan relies on both).
+ */
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull)
+    /** The state increment per draw (odd, so invertible mod 2^64). */
+    static constexpr uint64_t Gamma = 0x9e3779b97f4a7c15ull;
+
+    explicit Rng(uint64_t seed = Gamma)
         : state(seed ? seed : 1)
     {}
 
     /** Next raw 64-bit value. */
-    uint64_t
-    next()
+    uint64_t next() { return finalize(state += Gamma); }
+
+    /** Consume @p n draws without computing them. */
+    void skip(uint64_t n) { state += n * Gamma; }
+
+    /** The raw value the @p k-th next() from now returns (k >= 1),
+     *  without consuming anything. */
+    uint64_t peek(uint64_t k) const { return finalize(state + k * Gamma); }
+
+    /** The stream position: the state the last draw left behind. */
+    uint64_t position() const { return state; }
+
+    /** Draws that take the stream from position @p from to @p to. */
+    static uint64_t
+    drawsBetween(uint64_t from, uint64_t to)
     {
-        uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return (to - from) * GammaInverse;
+    }
+
+    /** Map a raw value to [0, 1), as uniform() and chance() do. */
+    static double
+    unit(uint64_t raw)
+    {
+        return static_cast<double>(raw >> 11) *
+               (1.0 / 9007199254740992.0);
     }
 
     /** Uniform value in [0, bound) (bound must be nonzero). */
@@ -49,20 +75,10 @@ class Rng
     }
 
     /** Bernoulli draw with probability @p p of true. */
-    bool
-    chance(double p)
-    {
-        return static_cast<double>(next() >> 11) *
-               (1.0 / 9007199254740992.0) < p;
-    }
+    bool chance(double p) { return unit(next()) < p; }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return static_cast<double>(next() >> 11) *
-               (1.0 / 9007199254740992.0);
-    }
+    double uniform() { return unit(next()); }
 
     /**
      * Deterministically derive a sub-seed from a parent seed and a
@@ -73,13 +89,23 @@ class Rng
     static uint64_t
     mix(uint64_t seed, uint64_t stream)
     {
-        uint64_t z = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
+        return finalize(seed + Gamma * (stream + 1));
+    }
+
+  private:
+    /** Gamma^-1 mod 2^64. */
+    static constexpr uint64_t GammaInverse = 0xf1de83e19937733dull;
+    static_assert(Gamma * GammaInverse == 1);
+
+    /** The splitmix64 output hash. */
+    static uint64_t
+    finalize(uint64_t z)
+    {
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         return z ^ (z >> 31);
     }
 
-  private:
     uint64_t state;
 };
 

@@ -235,6 +235,152 @@ TEST(FaultPlanTest, NamesRoundTrip)
     EXPECT_FALSE(plan.toString().empty());
 }
 
+/** Misses before the next hit of a lone @p t plan, found by drawing
+ *  on a copy of the injector (at most @p cap draws). */
+uint64_t
+missesByDrawing(FaultInjector copy, FaultType t, uint64_t cap = 1u << 20)
+{
+    uint64_t misses = 0;
+    while (misses < cap && !copy.fire(t))
+        ++misses;
+    return misses;
+}
+
+TEST(FaultHorizonTest, MissesBeforeHitMatchesDrawing)
+{
+    for (FaultType t : {FaultType::MasterRegFlip, FaultType::SlaveStall,
+                        FaultType::ImagePatch}) {
+        for (uint64_t seed : {1ull, 2ull, 99ull}) {
+            SCOPED_TRACE(std::string(toString(t)) + " seed " +
+                         std::to_string(seed));
+            FaultPlan plan;
+            plan.type = t;
+            plan.rate = faultBaseRate(t) * 10.0;
+            FaultInjector inj(seed, {plan});
+            for (int hit = 0; hit < 20; ++hit) {
+                uint64_t want = missesByDrawing(inj, t);
+                ASSERT_EQ(inj.missesBeforeHit(t), want);
+                // Cached answer, stepped miss by stepped miss.
+                for (uint64_t i = 0; i < std::min<uint64_t>(want, 3); ++i) {
+                    ASSERT_FALSE(inj.fire(t));
+                    ASSERT_EQ(inj.missesBeforeHit(t), want - i - 1);
+                }
+                inj.skip(inj.missesBeforeHit(t));
+                ASSERT_EQ(inj.missesBeforeHit(t), 0u);
+                ASSERT_TRUE(inj.fire(t));
+            }
+        }
+    }
+}
+
+TEST(FaultHorizonTest, ForeignDrawsBeforeTheHitKeepTheCache)
+{
+    FaultPlan flip;
+    flip.type = FaultType::MasterRegFlip;
+    flip.rate = 0.01;
+    FaultPlan drop;
+    drop.type = FaultType::SpawnDrop;
+    drop.rate = 0.5;
+    FaultInjector inj(3, {flip, drop});
+    for (int round = 0; round < 50; ++round) {
+        uint64_t misses = inj.missesBeforeHit(FaultType::MasterRegFlip);
+        if (misses >= 3) {
+            // Two foreign draws land before the hit: two fewer misses.
+            inj.pick(7);
+            inj.dropSpawn();
+            ASSERT_EQ(inj.missesBeforeHit(FaultType::MasterRegFlip),
+                      misses - 2);
+            ASSERT_EQ(inj.missesBeforeHit(FaultType::MasterRegFlip),
+                      missesByDrawing(inj, FaultType::MasterRegFlip));
+            inj.skip(misses - 2);
+        } else {
+            inj.skip(misses);
+        }
+        // A foreign draw consumes the hit position itself: rescan.
+        inj.word();
+        ASSERT_EQ(inj.missesBeforeHit(FaultType::MasterRegFlip),
+                  missesByDrawing(inj, FaultType::MasterRegFlip));
+    }
+}
+
+TEST(FaultHorizonTest, ScanCapIsAHorizonThatMisses)
+{
+    FaultPlan plan;
+    plan.type = FaultType::ImagePatch;
+    plan.rate = 1e-12;   // never hits within the cap
+    FaultInjector inj(8, {plan});
+    uint64_t misses = inj.missesBeforeHit(FaultType::ImagePatch);
+    EXPECT_EQ(misses, FaultInjector::MaxHitScan);
+    inj.skip(misses);
+    EXPECT_EQ(inj.missesBeforeHit(FaultType::ImagePatch), 0u);
+    EXPECT_FALSE(inj.fire(FaultType::ImagePatch));
+    EXPECT_EQ(inj.missesBeforeHit(FaultType::ImagePatch),
+              FaultInjector::MaxHitScan);
+}
+
+TEST(FaultHorizonTest, CappedPlanDisarmsAfterItsLastHit)
+{
+    FaultPlan plan;
+    plan.type = FaultType::SlaveKill;
+    plan.rate = 0.05;
+    plan.maxInjections = 3;
+    FaultInjector inj(4, {plan});
+    for (int hit = 0; hit < 3; ++hit) {
+        ASSERT_TRUE(inj.armed(FaultType::SlaveKill));
+        uint64_t misses = inj.missesBeforeHit(FaultType::SlaveKill);
+        ASSERT_EQ(misses, missesByDrawing(inj, FaultType::SlaveKill));
+        inj.skip(misses);
+        ASSERT_TRUE(inj.fire(FaultType::SlaveKill));
+    }
+    EXPECT_FALSE(inj.armed(FaultType::SlaveKill));
+    EXPECT_FALSE(inj.fire(FaultType::SlaveKill));
+    EXPECT_EQ(inj.counters().count(FaultType::SlaveKill), 3u);
+}
+
+/** Draws taken between injector states @p from and @p to (at most
+ *  64 looked for): the n at which @p from, skipped n draws, yields
+ *  the same next two words as @p to. */
+uint64_t
+drawsTaken(const FaultInjector &from, const FaultInjector &to)
+{
+    for (uint64_t n = 0; n < 64; ++n) {
+        FaultInjector a = from;
+        FaultInjector b = to;
+        a.skip(n);
+        if (a.word() == b.word() && a.word() == b.word())
+            return n;
+    }
+    return UINT64_MAX;
+}
+
+TEST(FaultHorizonTest, ForkDrawBoundHolds)
+{
+    // Every fork-time plan at rate 1, over checkpoints of 0-3 cells:
+    // no fork takes more draws than forkDrawBound().
+    std::vector<FaultPlan> plans;
+    for (FaultType t : {FaultType::CheckpointCorrupt, FaultType::LiveInFlip,
+                        FaultType::SpawnDrop, FaultType::SpawnDelay}) {
+        FaultPlan p;
+        p.type = t;
+        p.rate = 1.0;
+        plans.push_back(p);
+    }
+    FaultInjector inj(6, plans);
+    EXPECT_EQ(inj.forkDrawBound(), 10u);
+    uint64_t most = 0;
+    for (int fork = 0; fork < 400; ++fork) {
+        Checkpoint ckpt;
+        for (int c = 0; c < fork % 4; ++c)
+            ckpt.set(makeRegCell(1 + c), 7);
+        FaultInjector before = inj;
+        inj.corruptCheckpoint(ckpt);
+        inj.dropSpawn();
+        inj.spawnDelay();
+        most = std::max(most, drawsTaken(before, inj));
+    }
+    EXPECT_EQ(most, inj.forkDrawBound());
+}
+
 TEST(FaultCampaignTest, SmokeSweepPassesAndReproduces)
 {
     CampaignOptions opts;
@@ -256,4 +402,14 @@ TEST(FaultCampaignTest, SmokeSweepPassesAndReproduces)
     CampaignReport b = runFaultCampaign(opts);
     EXPECT_EQ(a.toJson(), b.toJson());
     EXPECT_FALSE(a.summary().empty());
+
+    // The per-cell epoch statistics are deterministic too.
+    EXPECT_EQ(a.epochStatsJson(), b.epochStatsJson());
+    EXPECT_NE(a.epochStatsJson().find("\"mssp-epochstats-v1\""),
+              std::string::npos);
+    for (const CampaignRun &r : a.runs) {
+        EXPECT_EQ(r.intensity, 10.0);
+        EXPECT_GT(r.epochs.epochs, 0u);
+        EXPECT_LE(r.epochs.batchedCycles, r.cycles);
+    }
 }

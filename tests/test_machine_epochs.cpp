@@ -9,10 +9,11 @@
  * sequence of (task id, cycle).
  *
  * Inputs: the 12 analogues under the default and the campaign
- * configuration, every fault type at intensity 10, the configuration
- * sweep's timing corners, a split run(k) + run(max), and random
- * programs. The random-program count scales with MSSP_FUZZ_ITERS
- * (default 25); CI runs 500:
+ * configuration, every fault type at intensities 1 and 10, mixed
+ * fault plans, the configuration sweep's timing corners, a split
+ * run(k) + run(max), and random programs, every third one under a
+ * per-cycle fault plan. The random-program count scales with
+ * MSSP_FUZZ_ITERS (default 25); CI runs 500, nightly 5000:
  *
  *   MSSP_FUZZ_ITERS=500 ./test_machine_epochs
  */
@@ -64,16 +65,18 @@ struct Trace
 /**
  * Run @p w on a fresh machine, batched or stepped. Each element of
  * @p legs is one run() call's cycle limit (several = a split run).
+ * @p plans (seeded from the first) arm a fault injector.
  */
 Trace
 runOnce(const PreparedWorkload &w, const MsspConfig &cfg, bool stepped,
-        const std::vector<uint64_t> &legs, const FaultPlan *plan = nullptr)
+        const std::vector<uint64_t> &legs,
+        const std::vector<FaultPlan> &plans = {})
 {
     MsspMachine machine(w.orig, w.dist, cfg);
     std::unique_ptr<FaultInjector> injector;
-    if (plan) {
-        injector = std::make_unique<FaultInjector>(
-            plan->seed, std::vector<FaultPlan>{*plan});
+    if (!plans.empty()) {
+        injector = std::make_unique<FaultInjector>(plans.front().seed,
+                                                   plans);
         machine.setFaultInjector(injector.get());
     }
     Trace t;
@@ -138,10 +141,11 @@ expectSame(const Trace &batched, const Trace &stepped)
 /** Compare both paths on one input; returns the batched trace. */
 Trace
 lockstep(const PreparedWorkload &w, const MsspConfig &cfg,
-         const std::vector<uint64_t> &legs, const FaultPlan *plan = nullptr)
+         const std::vector<uint64_t> &legs,
+         const std::vector<FaultPlan> &plans = {})
 {
-    Trace batched = runOnce(w, cfg, false, legs, plan);
-    Trace stepped = runOnce(w, cfg, true, legs, plan);
+    Trace batched = runOnce(w, cfg, false, legs, plans);
+    Trace stepped = runOnce(w, cfg, true, legs, plans);
     expectSame(batched, stepped);
     return batched;
 }
@@ -193,27 +197,113 @@ TEST(MachineEpochs, AnaloguesCampaignConfig)
         EXPECT_TRUE(lockstep(w, campaignConfig(), {MaxCycles}).result.halted);
 }
 
-TEST(MachineEpochs, EveryFaultTypeAtIntensityTen)
+/** A campaign plan: @p type at @p intensity times its base rate. */
+FaultPlan
+campaignPlan(FaultType type, double intensity, uint64_t seed = 1)
+{
+    FaultPlan plan;
+    plan.type = type;
+    plan.rate = std::min(1.0, faultBaseRate(type) * intensity);
+    plan.seed = seed;
+    return plan;
+}
+
+/** Lockstep @p plans on analogue @p w under the campaign config and
+ *  cycle budget. */
+Trace
+campaignLockstep(const PreparedWorkload &w,
+                 const std::vector<FaultPlan> &plans)
+{
+    SeqMachine seq(w.orig);
+    EXPECT_TRUE(seq.run(MaxCycles).halted);
+    return lockstep(w, campaignConfig(),
+                    {campaignBudget(CampaignOptions{}, seq.instCount())},
+                    plans);
+}
+
+TEST(MachineEpochs, EveryFaultTypeAtIntensityOneAndTen)
 {
     setQuiet(true);
     const std::vector<PreparedWorkload> &all = analogues();
     size_t pick = 0;
     for (FaultType type : allFaultTypes()) {
-        for (uint64_t seed : {11u, 12u}) {
-            const PreparedWorkload &w = all[pick++ % all.size()];
-            SeqMachine seq(w.orig);
-            ASSERT_TRUE(seq.run(MaxCycles).halted);
-            FaultPlan plan;
-            plan.type = type;
-            plan.rate = std::min(1.0, faultBaseRate(type) * 10.0);
-            plan.seed = seed;
-            SCOPED_TRACE(std::string(toString(type)) + " seed " +
-                         std::to_string(seed));
-            lockstep(w, campaignConfig(),
-                     {campaignBudget(CampaignOptions{}, seq.instCount())},
-                     &plan);
+        for (double intensity : {1.0, 10.0}) {
+            for (uint64_t seed : {11u, 12u}) {
+                SCOPED_TRACE(std::string(toString(type)) + " x" +
+                             std::to_string(intensity) + " seed " +
+                             std::to_string(seed));
+                campaignLockstep(all[pick++ % all.size()],
+                                 {campaignPlan(type, intensity, seed)});
+            }
         }
     }
+}
+
+TEST(MachineEpochs, MixedFaultPlans)
+{
+    setQuiet(true);
+    const std::vector<PreparedWorkload> &all = analogues();
+    // Spawn drops fork-time draws between a slave plan's cached hit
+    // and the stream (BM_MsspMachine/faults); checkpoint corruption
+    // does the same to a master plan; a master and a slave plan
+    // together interleave per cycle and fall back.
+    const std::vector<std::vector<FaultType>> mixes = {
+        {FaultType::SpawnDrop, FaultType::SlaveStall},
+        {FaultType::MasterRegFlip, FaultType::CheckpointCorrupt},
+        {FaultType::MasterRegFlip, FaultType::SlaveKill},
+    };
+    size_t pick = 0;
+    for (const std::vector<FaultType> &mix : mixes) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            std::vector<FaultPlan> plans;
+            std::string name;
+            for (FaultType t : mix) {
+                plans.push_back(campaignPlan(t, 10.0, seed));
+                name += std::string(toString(t)) + "+";
+            }
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            Trace t = campaignLockstep(all[pick++ % all.size()], plans);
+            if (mix.back() == FaultType::SlaveKill) {
+                EXPECT_GT(t.epochs.fallback(EpochFallback::FaultDraws),
+                          0u);
+            }
+        }
+    }
+    // A slave plan on one slave beside the heaviest fork draws: each
+    // fork takes up to ten draws, so only the fork-draw bound keeps a
+    // hit off a head task run ahead of the master's fork.
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        std::vector<FaultPlan> plans;
+        for (FaultType t : {FaultType::CheckpointCorrupt,
+                            FaultType::LiveInFlip, FaultType::SpawnDelay,
+                            FaultType::SpawnDrop}) {
+            plans.push_back(campaignPlan(t, 10.0, seed));
+            plans.back().rate = 0.5;
+        }
+        plans.push_back(campaignPlan(seed % 2 ? FaultType::SlaveStall
+                                              : FaultType::SlaveKill,
+                                     20.0, seed));
+        plans.back().target = static_cast<int>(seed % 3);
+        SCOPED_TRACE("fork draws + targeted slave plan, seed " +
+                     std::to_string(seed));
+        campaignLockstep(all[pick++ % all.size()], plans);
+    }
+}
+
+TEST(MachineEpochs, LoneMasterPlanBatches)
+{
+    // Non-vacuity of the draw horizon: a master-reg-flip cell at
+    // intensity 10 skips its misses instead of stepping them.
+    setQuiet(true);
+    uint64_t batched = 0;
+    uint64_t cycles = 0;
+    for (const PreparedWorkload &w : analogues()) {
+        Trace t = campaignLockstep(
+            w, {campaignPlan(FaultType::MasterRegFlip, 10.0)});
+        batched += t.epochs.batchedCycles;
+        cycles += t.result.cycles;
+    }
+    EXPECT_GE(batched * 2, cycles);
 }
 
 TEST(MachineEpochs, MasterSliceStopsInFrontOfEvents)
@@ -273,7 +363,7 @@ TEST(MachineEpochs, MasterFaultsPastTheirCap)
             SCOPED_TRACE(std::string(toString(type)) + " seed " +
                          std::to_string(seed));
             lockstep(all[seed % all.size()], campaignConfig(), {MaxCycles},
-                     &plan);
+                     {plan});
         }
     }
 }
@@ -365,7 +455,17 @@ TEST(MachineEpochs, RandomPrograms)
         MsspConfig cfg = i % 2 ? campaignConfig() : MsspConfig{};
         if (i % 5 == 4)
             cfg.maxInFlightTasks = 2;   // window-full stalls
-        lockstep(w, cfg, {2000000ull});
+        std::vector<FaultPlan> plans;
+        if (i % 3 == 2) {
+            // Rotate the five per-cycle plans, at intensity 10.
+            static const FaultType per_cycle[] = {
+                FaultType::MasterRegFlip, FaultType::MasterPcCorrupt,
+                FaultType::ImagePatch, FaultType::SlaveStall,
+                FaultType::SlaveKill};
+            plans.push_back(campaignPlan(per_cycle[(i / 3) % 5], 10.0,
+                                         seed));
+        }
+        lockstep(w, cfg, {2000000ull}, plans);
     }
 }
 
@@ -386,10 +486,10 @@ TEST(MachineEpochs, EveryFallbackReasonFires)
         SCOPED_TRACE(name);
         add(lockstep(w, cfg, {MaxCycles}));
     }
-    FaultPlan stall;
-    stall.type = FaultType::SlaveStall;
-    stall.rate = 0.01;
-    add(lockstep(w, campaignConfig(), {MaxCycles}, &stall));
+    // FaultDraws: a master and a slave plan draw on the same cycles.
+    add(lockstep(w, campaignConfig(), {MaxCycles},
+                 {campaignPlan(FaultType::MasterRegFlip, 10.0),
+                  campaignPlan(FaultType::SlaveKill, 10.0)}));
     EXPECT_GT(total.fallback(EpochFallback::Ipc), 0u);
     EXPECT_GT(total.fallback(EpochFallback::FaultDraws), 0u);
     EXPECT_GT(total.fallback(EpochFallback::Undelivered), 0u);

@@ -203,5 +203,30 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
+TEST(Rng, SkipEqualsDrawing)
+{
+    for (uint64_t n : {0ull, 1ull, 7ull, 1000000ull}) {
+        SCOPED_TRACE(n);
+        Rng drawn(42), skipped(42);
+        for (uint64_t i = 0; i < n; ++i)
+            drawn.next();
+        skipped.skip(n);
+        EXPECT_EQ(skipped.position(), drawn.position());
+        EXPECT_EQ(Rng::drawsBetween(Rng(42).position(), drawn.position()),
+                  n);
+        EXPECT_EQ(skipped.next(), drawn.next());
+    }
+}
+
+TEST(Rng, PeekDoesNotConsume)
+{
+    Rng rng(5);
+    uint64_t third = rng.peek(3);
+    uint64_t first = rng.peek(1);
+    EXPECT_EQ(rng.next(), first);
+    rng.next();
+    EXPECT_EQ(rng.next(), third);
+}
+
 } // anonymous namespace
 } // namespace mssp

@@ -6,7 +6,7 @@
  *   mssp-faultcamp [--workloads gzip,mcf,...] [--types a,b,...]
  *                  [--intensities 1,10] [--scale F] [--seed N]
  *                  [--max-cycles N] [--jobs N] [--json FILE]
- *                  [--quiet] [--list-types]
+ *                  [--epoch-stats FILE] [--quiet] [--list-types]
  *
  * Each cell runs once; a cell whose job throws is quarantined
  * (sim/supervisor.hh) and the sweep goes on.
@@ -17,7 +17,9 @@
  * statuses are in the report); 2 on bad usage (including a bad
  * numeric flag value); 1 otherwise. The JSON report (schema
  * mssp-faultcamp-v3) is byte-deterministic for fixed options (CI
- * runs the sweep twice and diffs).
+ * runs the sweep twice and diffs). --epoch-stats writes how much of
+ * each cell the machine batched (schema mssp-epochstats-v1), also
+ * deterministic.
  */
 
 #include <cstdio>
@@ -58,7 +60,8 @@ usage()
         "usage: mssp-faultcamp [--workloads a,b,...] [--types a,b,...]\n"
         "                      [--intensities 1,10] [--scale F]\n"
         "                      [--seed N] [--max-cycles N] [--jobs N]\n"
-        "                      [--json FILE] [--quiet] [--list-types]\n");
+        "                      [--json FILE] [--epoch-stats FILE]\n"
+        "                      [--quiet] [--list-types]\n");
     return 2;
 }
 
@@ -70,6 +73,7 @@ main(int argc, char **argv)
     CampaignOptions opts;
     opts.jobs = defaultJobs();
     std::string json_path;
+    std::string epoch_path;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -107,6 +111,8 @@ main(int argc, char **argv)
             opts.jobs = flagNumber<unsigned>(kTool, arg, argv[++i], 1, 1024);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
+        } else if (arg == "--epoch-stats" && i + 1 < argc) {
+            epoch_path = argv[++i];
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--list-types") {
@@ -124,16 +130,22 @@ main(int argc, char **argv)
         CampaignReport report =
             runFaultCampaign(opts, quiet ? nullptr : &std::cerr);
 
-        if (!json_path.empty()) {
-            std::ofstream out(json_path);
+        auto write = [](const std::string &path, const std::string &text) {
+            std::ofstream out(path);
             if (!out) {
                 std::fprintf(stderr,
                              "mssp-faultcamp: cannot write %s\n",
-                             json_path.c_str());
-                return 1;
+                             path.c_str());
+                return false;
             }
-            out << report.toJson();
-        }
+            out << text;
+            return true;
+        };
+        if (!json_path.empty() && !write(json_path, report.toJson()))
+            return 1;
+        if (!epoch_path.empty() &&
+            !write(epoch_path, report.epochStatsJson()))
+            return 1;
         if (!quiet || json_path.empty())
             std::fputs(report.summary().c_str(), stdout);
 
