@@ -1,7 +1,9 @@
 #include "eval/suite.hh"
 
 #include <functional>
+#include <map>
 #include <ostream>
+#include <utility>
 
 #include "analysis/specplan.hh"
 #include "analysis/specsafe.hh"
@@ -212,13 +214,13 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     unsigned jobs = opts.jobs ? opts.jobs : 1;
 
     // Phase one: one job per workload runs the evaluation chain and
-    // seeds the campaign's oracle cache from the prepared pipeline.
-    SeqOracleCache oracles(opts.scale);
+    // builds the campaign's oracle from the prepared pipeline.
+    using Phase1 = std::pair<SuiteWorkloadResult, SeqOracle>;
     Mutex log_m;
-    std::vector<std::function<SuiteWorkloadResult()>> work;
+    std::vector<std::function<Phase1()>> work;
     work.reserve(names.size());
     for (const std::string &name : names) {
-        work.push_back([&opts, &oracles, &log_m, log, &name] {
+        work.push_back([&opts, &log_m, log, &name] {
             SuiteWorkloadResult r;
             r.name = name;
 
@@ -314,29 +316,33 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
             r.consistent = r.run.ok &&
                            (!all_proven || r.divergenceSquashes == 0);
 
-            oracles.put(name, std::move(prepared));
+            SeqOracle oracle = makeSeqOracle(std::move(prepared));
             if (log) {
                 MutexLock lock(log_m);
                 *log << strfmt("  [eval] %-10s %s\n", r.name.c_str(),
                                r.ok() ? "ok" : "FAIL");
                 log->flush();
             }
-            return r;
+            return Phase1(std::move(r), std::move(oracle));
         });
     }
-    SupervisedResult<SuiteWorkloadResult> phase1 =
-        runSupervised<SuiteWorkloadResult>(jobs, std::move(work), names);
-    report.workloads = std::move(phase1.healthy);
+    SupervisedResult<Phase1> phase1 =
+        runSupervised<Phase1>(jobs, std::move(work), names);
+    std::map<std::string, SeqOracle> oracles;
+    for (Phase1 &done : phase1.healthy) {
+        oracles.emplace(done.first.name, std::move(done.second));
+        report.workloads.push_back(std::move(done.first));
+    }
     report.evalQuarantine = std::move(phase1.quarantine);
     if (log && !report.evalQuarantine.empty()) {
         *log << report.evalQuarantine.summary();
         log->flush();
     }
 
-    // Phase two: the fault-campaign cell sweep over the same pool,
+    // Phase two: the fault-campaign cell sweep on its own threads,
     // reusing phase one's oracles (no workload is prepared twice). A
-    // quarantined workload's oracle was never seeded; the campaign's
-    // warm phase recomputes it deterministically.
+    // quarantined workload has no oracle yet; the campaign's warm
+    // phase builds it deterministically.
     CampaignOptions copts;
     copts.workloads = names;
     copts.intensities = opts.intensities;
@@ -344,7 +350,7 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     copts.seed = opts.seed;
     copts.maxCycles = opts.campaignMaxCycles;
     copts.jobs = jobs;
-    report.campaign = runFaultCampaign(copts, log, &oracles);
+    report.campaign = runFaultCampaign(copts, log, std::move(oracles));
     return report;
 }
 

@@ -20,12 +20,13 @@
  *             prediction-mismatch gates
  *   campaign  the fault-injection sweep against the SEQ oracle
  *
- * The job graph has two sharded phases (sim/parallel.hh). Phase one
- * runs one job per workload: the pipeline stages above through
- * crossval, then seeds the campaign's SeqOracleCache from the
- * already-prepared pipeline. Phase two is the campaign cell sweep
- * (workload x fault type x intensity), sharded over the same pool
- * and reusing those oracles — no workload is ever prepared twice.
+ * The job graph has two sharded phases (sim/parallel.hh), each on
+ * its own threads. Phase one runs one job per workload: the pipeline
+ * stages above through crossval, then the workload's SEQ oracle from
+ * the already-prepared pipeline, returned next to its result. Phase
+ * two is the campaign cell sweep (workload x fault type x
+ * intensity), handed those oracles as a read-only table — no
+ * workload is ever prepared twice.
  *
  * Both phases run each job once through runSupervised()
  * (sim/supervisor.hh): a job that throws is quarantined — its

@@ -7,6 +7,7 @@
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "sim/thread_annotations.hh"
 #include "workloads/workloads.hh"
 
 namespace mssp
@@ -69,35 +70,6 @@ SeqOracle
 makeSeqOracle(const Workload &wl)
 {
     return makeSeqOracle(prepare(wl.refSource, wl.trainSource));
-}
-
-SeqOracleCache::Entry &
-SeqOracleCache::entry(const std::string &name)
-{
-    MutexLock lock(m_);
-    std::unique_ptr<Entry> &e = entries_[name];
-    if (!e)
-        e = std::make_unique<Entry>();
-    return *e;
-}
-
-const SeqOracle &
-SeqOracleCache::get(const std::string &name)
-{
-    Entry &e = entry(name);
-    std::call_once(e.once, [this, &e, &name] {
-        e.oracle = makeSeqOracle(workloadByName(name, scale_));
-    });
-    return e.oracle;
-}
-
-void
-SeqOracleCache::put(const std::string &name, PreparedWorkload prepared)
-{
-    Entry &e = entry(name);
-    std::call_once(e.once, [&e, &prepared] {
-        e.oracle = makeSeqOracle(std::move(prepared));
-    });
 }
 
 uint64_t
@@ -334,7 +306,7 @@ CampaignReport::summary() const
 
 CampaignReport
 runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
-                 SeqOracleCache *cache)
+                 std::map<std::string, SeqOracle> oracles)
 {
     CampaignReport report;
     report.options = opts;
@@ -373,24 +345,27 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
         }
     }
 
-    // Warm the oracle cache with one sharded job per workload first:
-    // oracle construction (prepare + SEQ run) dominates small-scale
-    // campaigns, and cells pulled lazily would make every shard block
-    // on the same workload's once-init in lockstep.
-    SeqOracleCache own_cache(opts.scale);
-    SeqOracleCache &oracles = cache ? *cache : own_cache;
+    // Build the missing oracles with one sharded job per workload
+    // before any cell runs: oracle construction (prepare + SEQ run)
+    // dominates small-scale campaigns. The table is read-only after.
     unsigned jobs = opts.jobs ? opts.jobs : 1;
-    {
-        std::vector<std::function<bool()>> warm;
-        warm.reserve(report.options.workloads.size());
-        for (const std::string &name : report.options.workloads) {
-            warm.push_back([&oracles, &name] {
-                oracles.get(name);
-                return true;
-            });
-        }
-        runSharded<bool>(jobs, std::move(warm));
+    std::vector<std::string> missing;
+    for (const std::string &name : report.options.workloads) {
+        if (!oracles.count(name))
+            missing.push_back(name);
     }
+    std::vector<std::function<SeqOracle()>> warm;
+    warm.reserve(missing.size());
+    for (const std::string &name : missing) {
+        warm.push_back([&opts, &name] {
+            return makeSeqOracle(workloadByName(name, opts.scale));
+        });
+    }
+    std::vector<SeqOracle> built =
+        runSharded<SeqOracle>(jobs, std::move(warm));
+    for (size_t i = 0; i < missing.size(); ++i)
+        oracles.emplace(missing[i], std::move(built[i]));
+
     Mutex log_m;
     std::vector<std::function<CampaignRun()>> work;
     std::vector<std::string> labels;
@@ -400,8 +375,8 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
         labels.push_back(strfmt("%s/%s/%s", cell.workload.c_str(),
                                 toString(cell.type),
                                 fmtRate(cell.rate).c_str()));
-        work.push_back([&opts, &oracles, &log_m, log, cell] {
-            const SeqOracle &oracle = oracles.get(cell.workload);
+        const SeqOracle &oracle = oracles.at(cell.workload);
+        work.push_back([&opts, &oracle, &log_m, log, cell] {
             CampaignRun run = runCampaignCell(
                 cell.workload, oracle, cell.type, cell.rate,
                 cell.seed, campaignBudget(opts, oracle.insts));
@@ -426,7 +401,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
     }
     // A cell that throws is quarantined instead of aborting the
     // sweep. The warm phase above stays plain runSharded on purpose:
-    // oracles are trusted shared state that every cell reuses.
+    // every cell of a workload needs its oracle.
     SupervisedResult<CampaignRun> swept =
         runSupervised<CampaignRun>(jobs, std::move(work), labels);
     report.runs = std::move(swept.healthy);

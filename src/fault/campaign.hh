@@ -29,8 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,7 +36,6 @@
 #include "fault/fault.hh"
 #include "mssp/machine.hh"
 #include "sim/supervisor.hh"
-#include "sim/thread_annotations.hh"
 #include "workloads/workloads.hh"
 
 namespace mssp
@@ -170,44 +167,6 @@ SeqOracle makeSeqOracle(PreparedWorkload prepared);
 /** Prepare @p wl and compute its oracle. */
 SeqOracle makeSeqOracle(const Workload &wl);
 
-/**
- * Thread-safe per-workload oracle cache. The first shard to ask for a
- * workload computes its oracle under a per-workload once-init; every
- * later shard (on any thread) reuses it. mssp-suite pre-seeds the
- * cache via put() so its campaign stage reuses the pipeline its
- * earlier stages already prepared.
- */
-class SeqOracleCache
-{
-  public:
-    explicit SeqOracleCache(double scale) : scale_(scale) {}
-
-    /** The oracle for registry workload @p name (compute-once). */
-    const SeqOracle &get(const std::string &name);
-
-    /** Pre-seed @p name from an existing pipeline. Must happen before
-     *  any get(name); later puts for the same name are ignored. */
-    void put(const std::string &name, PreparedWorkload prepared);
-
-  private:
-    struct Entry
-    {
-        /** Guards oracle: readers go through call_once, which gives
-         *  the release/acquire pairing the analysis cannot see. */
-        std::once_flag once;
-        SeqOracle oracle;
-    };
-
-    Entry &entry(const std::string &name);
-
-    double scale_;
-    Mutex m_;
-    /** The map itself is guarded by m_; each Entry, once handed out,
-     *  is immutable except through its own once_flag. */
-    std::map<std::string, std::unique_ptr<Entry>> entries_
-        MSSP_GUARDED_BY(m_);
-};
-
 /** Execute one (workload, fault type, rate) campaign cell. Pure
  *  function of its arguments — safe to run on any shard. */
 CampaignRun runCampaignCell(const std::string &workload,
@@ -222,14 +181,15 @@ uint64_t campaignBudget(const CampaignOptions &opts,
 /**
  * Run the sweep, sharded across opts.jobs host threads. @p log
  * (optional) receives one line per run (completion order); the
- * returned report is byte-deterministic for fixed options. @p cache
- * (optional) supplies pre-seeded oracles — mssp-suite passes the
- * cache its evaluation stages already filled so the campaign does
- * not re-prepare any workload.
+ * returned report is byte-deterministic for fixed options. @p oracles
+ * (optional) holds pre-built oracles by workload name — mssp-suite
+ * passes the ones its evaluation stage already built, so the campaign
+ * does not re-prepare those workloads. The campaign builds the
+ * missing ones before any cell runs; cells only read the table.
  */
-CampaignReport runFaultCampaign(const CampaignOptions &opts,
-                                std::ostream *log = nullptr,
-                                SeqOracleCache *cache = nullptr);
+CampaignReport runFaultCampaign(
+    const CampaignOptions &opts, std::ostream *log = nullptr,
+    std::map<std::string, SeqOracle> oracles = {});
 
 } // namespace mssp
 

@@ -8,7 +8,7 @@
  * string-matching exception text, and quarantine reports stay
  * byte-deterministic (codes render as fixed kebab-case names).
  *
- * Three pieces:
+ * Two pieces:
  *
  *  - Status: a code plus a human-readable message. Messages must be
  *    deterministic for deterministic inputs (no pointers, times or
@@ -17,10 +17,9 @@
  *  - Result<T>: a value or the Status explaining its absence, for
  *    parse-style APIs (asm/objfile.hh) where failure is an expected
  *    outcome, not an exception.
- *  - StatusError: the exception form, derived from FatalError so
- *    every existing catch (const FatalError &) boundary — the CLI
- *    tools, the ThreadPool — already contains it. runSupervised()
- *    (sim/supervisor.hh) keeps its code when it quarantines a job.
+ *
+ * A sweep job reports failure by throwing; runSupervised()
+ * (sim/supervisor.hh) turns the exception into a JobFailed Status.
  */
 
 #ifndef MSSP_SIM_STATUS_HH
@@ -40,8 +39,7 @@ enum class StatusCode : uint8_t
 {
     Ok = 0,
     ParseError,           ///< malformed untrusted input
-    JobFailed,            ///< the job threw an ordinary error
-    Internal,             ///< should-not-happen wrapped as data
+    JobFailed,            ///< the job threw
 };
 
 /** Fixed kebab-case name ("ok", "parse-error", ...). */
@@ -119,24 +117,6 @@ class Result
     std::optional<T> value_;
 };
 
-/**
- * The exception form of a Status. Derives from FatalError so every
- * existing tool-level and pool-level catch already handles it;
- * runSupervised() catches it first to preserve the structured code.
- */
-class StatusError : public FatalError
-{
-  public:
-    explicit StatusError(Status status)
-        : FatalError(status.toString()), status_(std::move(status))
-    {}
-
-    const Status &status() const { return status_; }
-
-  private:
-    Status status_;
-};
-
 inline const char *
 toString(StatusCode code)
 {
@@ -144,9 +124,8 @@ toString(StatusCode code)
       case StatusCode::Ok:                  return "ok";
       case StatusCode::ParseError:          return "parse-error";
       case StatusCode::JobFailed:           return "job-failed";
-      case StatusCode::Internal:            return "internal";
     }
-    return "internal";
+    return "?";
 }
 
 } // namespace mssp

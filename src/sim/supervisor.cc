@@ -5,6 +5,18 @@
 namespace mssp
 {
 
+Status
+jobFailure(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return Status(StatusCode::JobFailed, e.what());
+    } catch (...) {
+        return Status(StatusCode::JobFailed, "unknown exception");
+    }
+}
+
 std::string
 QuarantineReport::toJson() const
 {

@@ -3,12 +3,13 @@
  * Quarantine for sharded sweeps: one throwing job must not abort the
  * sweep or hide the other failures.
  *
- * runSupervised() runs every job once on sim/parallel.hh's runSharded
- * and catches whatever a job throws into a structured Status. A job
- * that throws is *quarantined*: it lands in a QuarantineReport with
- * its canonical index, label and status, and every healthy result
- * still comes back in canonical order. Everything is keyed on job
- * indices, so reports are byte-identical for --jobs N vs --jobs 1.
+ * runSupervised() runs every job once on sim/parallel.hh's
+ * forEachIndex and turns whatever a job throws into a job-failed
+ * Status. A job that throws is *quarantined*: it lands in a
+ * QuarantineReport with its canonical index, label and status, and
+ * every healthy result still comes back in canonical order.
+ * Everything is keyed on job indices, so reports are byte-identical
+ * for --jobs N vs --jobs 1.
  *
  * Nothing here bounds a job: every machine run carries its own
  * deterministic cycle or instruction cap.
@@ -61,11 +62,14 @@ struct SupervisedResult
     QuarantineReport quarantine;
 };
 
+/** JobFailed with the exception's what() ("unknown exception" for a
+ *  thrown non-std::exception). @p error must be non-null. */
+Status jobFailure(const std::exception_ptr &error);
+
 /**
- * Run each of @p work once across @p jobs host threads (runSharded:
- * `jobs <= 1` is the exact serial path). A job that throws is
- * quarantined with its StatusError's status, or JobFailed and the
- * exception text; the others' results come back in job order.
+ * Run each of @p work once across @p jobs host threads
+ * (forEachIndex). A job that throws is quarantined as jobFailure();
+ * the others' results come back in job order.
  *
  * @p labels (optional) names jobs in the quarantine report
  * ("gzip/spawn-drop/0.2"); jobs without one get "job <index>".
@@ -75,42 +79,21 @@ SupervisedResult<R>
 runSupervised(unsigned jobs, std::vector<std::function<R()>> work,
               const std::vector<std::string> &labels = {})
 {
-    struct Outcome
-    {
-        std::optional<R> value;
-        Status status;
-    };
-    std::vector<std::function<Outcome()>> guarded;
-    guarded.reserve(work.size());
-    for (size_t i = 0; i < work.size(); ++i) {
-        guarded.push_back([&work, i] {
-            Outcome out;
-            try {
-                out.value.emplace(work[i]());
-            } catch (const StatusError &e) {
-                out.status = e.status();
-            } catch (const std::exception &e) {
-                out.status = Status(StatusCode::JobFailed, e.what());
-            } catch (...) {
-                out.status =
-                    Status(StatusCode::JobFailed, "unknown exception");
-            }
-            return out;
-        });
-    }
-    std::vector<Outcome> outcomes =
-        runSharded<Outcome>(jobs, std::move(guarded));
+    std::vector<std::optional<R>> slots(work.size());
+    std::vector<std::exception_ptr> errors = forEachIndex(
+        jobs, work.size(),
+        [&slots, &work](size_t i) { slots[i].emplace(work[i]()); });
 
     SupervisedResult<R> result;
-    result.healthy.reserve(outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].value) {
-            result.healthy.push_back(std::move(*outcomes[i].value));
+    result.healthy.reserve(slots.size());
+    for (size_t i = 0; i < slots.size(); ++i) {
+        if (!errors[i]) {
+            result.healthy.push_back(std::move(*slots[i]));
             continue;
         }
         result.quarantine.entries.push_back(
             {i, i < labels.size() ? labels[i] : strfmt("job %zu", i),
-             std::move(outcomes[i].status)});
+             jobFailure(errors[i])});
     }
     return result;
 }

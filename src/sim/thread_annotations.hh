@@ -3,12 +3,14 @@
  * Clang -Wthread-safety annotations and annotated locking wrappers.
  *
  * A second, host-level static-analysis layer over the parallel sweep
- * infrastructure (DESIGN.md §10): the work-stealing pool and the
- * oracle cache declare which mutex guards which member, and clang's
- * thread-safety analysis proves every access happens under the right
- * lock at compile time. Under GCC the macros expand to nothing, so
- * the build is identical; under clang CMake promotes the warnings to
- * errors (see the -Wthread-safety block in CMakeLists.txt).
+ * infrastructure (DESIGN.md §10). Sweep jobs share no simulator
+ * state; the only locks left guard the progress logs the fault
+ * campaign and mssp-suite stream to, and clang's thread-safety
+ * analysis proves at compile time that every acquire is released on
+ * every path. Under GCC
+ * the macros expand to nothing, so the build is identical; under
+ * clang CMake promotes the warnings to errors (see the
+ * -Wthread-safety block in CMakeLists.txt).
  *
  * libstdc++'s std::mutex is not capability-annotated, so annotating
  * raw std::mutex members trips -Wthread-safety-attributes. The
@@ -16,15 +18,11 @@
  *
  *  - Mutex: std::mutex with the "mutex" capability.
  *  - MutexLock: scoped lock_guard equivalent (SCOPED_CAPABILITY).
- *  - CondVar: condition variable waiting on a Mutex. Predicate
- *    lambdas are opaque to the analysis, so waits are written as
- *    explicit `while (!cond) cv.wait(m);` loops under the lock.
  */
 
 #ifndef MSSP_SIM_THREAD_ANNOTATIONS_HH
 #define MSSP_SIM_THREAD_ANNOTATIONS_HH
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -35,18 +33,10 @@
 
 #define MSSP_CAPABILITY(x) MSSP_THREAD_ANNOTATION(capability(x))
 #define MSSP_SCOPED_CAPABILITY MSSP_THREAD_ANNOTATION(scoped_lockable)
-#define MSSP_GUARDED_BY(x) MSSP_THREAD_ANNOTATION(guarded_by(x))
-#define MSSP_PT_GUARDED_BY(x) MSSP_THREAD_ANNOTATION(pt_guarded_by(x))
-#define MSSP_REQUIRES(...) \
-    MSSP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 #define MSSP_ACQUIRE(...) \
     MSSP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define MSSP_RELEASE(...) \
     MSSP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define MSSP_EXCLUDES(...) \
-    MSSP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-#define MSSP_NO_THREAD_SAFETY_ANALYSIS \
-    MSSP_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace mssp
 {
@@ -59,7 +49,6 @@ class MSSP_CAPABILITY("mutex") Mutex
     void unlock() MSSP_RELEASE() { m_.unlock(); }
 
   private:
-    friend class CondVar;
     std::mutex m_;
 };
 
@@ -78,29 +67,6 @@ class MSSP_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &m_;
-};
-
-/** Condition variable waiting on an annotated Mutex. */
-class CondVar
-{
-  public:
-    /** Atomically release @p m, wait, and reacquire. The caller owns
-     *  the predicate loop: `while (!cond) cv.wait(m);`. */
-    void
-    wait(Mutex &m) MSSP_REQUIRES(m)
-    {
-        // Adopt the already-held lock for the wait protocol, then
-        // release ownership back to the caller without unlocking.
-        std::unique_lock<std::mutex> lock(m.m_, std::adopt_lock);
-        cv_.wait(lock);
-        lock.release();
-    }
-
-    void notifyOne() { cv_.notify_one(); }
-    void notifyAll() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
 };
 
 } // namespace mssp

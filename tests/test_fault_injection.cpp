@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "fault/campaign.hh"
 #include "fault/fault.hh"
 #include "helpers.hh"
+#include "workloads/workloads.hh"
 
 using namespace mssp;
 using namespace mssp::test;
@@ -379,6 +382,34 @@ TEST(FaultHorizonTest, ForkDrawBoundHolds)
         most = std::max(most, drawsTaken(before, inj));
     }
     EXPECT_EQ(most, inj.forkDrawBound());
+}
+
+TEST(FaultCampaignTest, PrebuiltOraclesMatchBuiltOnes)
+{
+    // A campaign handed a pre-built oracle for one workload produces
+    // the same bytes as one that builds every oracle itself; the
+    // workload missing from the table is built by the warm phase.
+    CampaignOptions opts;
+    opts.workloads = {"gzip", "mcf"};
+    opts.types = {FaultType::LiveInFlip, FaultType::MasterRegFlip};
+    opts.intensities = {10.0};
+    opts.scale = 0.02;
+    opts.seed = 777;
+    opts.jobs = 2;
+    CampaignReport built = runFaultCampaign(opts);
+
+    std::map<std::string, SeqOracle> oracles;
+    oracles.emplace("gzip",
+                    makeSeqOracle(workloadByName("gzip", opts.scale)));
+    CampaignReport handed = runFaultCampaign(opts, nullptr,
+                                             std::move(oracles));
+
+    EXPECT_EQ(handed.toJson(), built.toJson());
+    EXPECT_EQ(handed.epochStatsJson(), built.epochStatsJson());
+    ASSERT_EQ(handed.runs.size(), 4u);
+    EXPECT_EQ(handed.quarantined(), 0u);
+    EXPECT_EQ(handed.runs[0].workload, "gzip");
+    EXPECT_EQ(handed.runs[3].workload, "mcf");
 }
 
 TEST(FaultCampaignTest, SmokeSweepPassesAndReproduces)

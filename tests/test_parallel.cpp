@@ -1,12 +1,12 @@
 /**
  * @file
- * Host-parallel execution tests (sim/parallel.hh): the work-stealing
- * pool runs every job exactly once across batches and pool sizes,
- * exceptions propagate deterministically (lowest job index wins),
- * runSharded merges in canonical order, and the repo's flagship
- * determinism contract holds in-process — a sharded fault campaign's
- * JSON report is byte-identical to the serial one. This is the test
- * the TSan build (MSSP_SANITIZE=thread) exercises for data races.
+ * Host-parallel execution tests (sim/parallel.hh): runSharded runs
+ * every job exactly once and returns results in canonical order,
+ * exceptions propagate deterministically (lowest job index wins,
+ * after every job has run), and the repo's flagship determinism
+ * contract holds in-process — a sharded fault campaign's JSON report
+ * is byte-identical to the serial one. The TSan build
+ * (MSSP_SANITIZE=thread) runs this test for data races.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,9 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/campaign.hh"
@@ -35,70 +35,68 @@ TEST(Parallel, DefaultJobsAtLeastOne)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
-TEST(Parallel, EmptyBatchReturnsImmediately)
+TEST(Parallel, SerialJobCountsRunInOrder)
 {
-    ThreadPool pool(4);
-    pool.run({});
-
-    std::vector<std::function<int()>> work;
-    EXPECT_TRUE(runSharded<int>(8, std::move(work)).empty());
-}
-
-TEST(Parallel, PoolSizeClampedToAtLeastOne)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.threads(), 1u);
-
-    std::atomic<int> ran{0};
-    pool.run({[&ran] { ++ran; }});
-    EXPECT_EQ(ran.load(), 1);
+    // jobs 0 and 1 both run on the calling thread, in index order.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (unsigned jobs : {0u, 1u}) {
+        std::vector<size_t> order;
+        std::vector<std::function<size_t()>> work;
+        for (size_t i = 0; i < 16; ++i) {
+            work.push_back([&order, caller, i] {
+                EXPECT_EQ(std::this_thread::get_id(), caller);
+                order.push_back(i);
+                return i * i;
+            });
+        }
+        std::vector<size_t> got = runSharded<size_t>(jobs, std::move(work));
+        ASSERT_EQ(got.size(), 16u) << "jobs " << jobs;
+        ASSERT_EQ(order.size(), 16u) << "jobs " << jobs;
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(order[i], i) << "jobs " << jobs;
+            EXPECT_EQ(got[i], i * i) << "jobs " << jobs;
+        }
+    }
 }
 
 TEST(Parallel, ManyMoreJobsThanThreads)
 {
-    // 500 jobs on 3 threads: every job runs exactly once (work
-    // stealing loses or duplicates nothing) and results land in
-    // canonical slots.
-    const size_t n = 500;
+    // 1000 jobs on 4 threads: every index is claimed exactly once
+    // (the shared counter loses or duplicates nothing) and results
+    // land in canonical slots.
+    const size_t n = 1000;
+    std::vector<std::atomic<int>> runs(n);
     std::vector<std::function<uint64_t()>> work;
     work.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        work.push_back([i] { return Rng::mix(42, i); });
+    for (size_t i = 0; i < n; ++i) {
+        work.push_back([&runs, i] {
+            runs[i].fetch_add(1);
+            return Rng::mix(42, i);
+        });
+    }
 
-    std::vector<uint64_t> got = runSharded<uint64_t>(3, std::move(work));
+    std::vector<uint64_t> got = runSharded<uint64_t>(4, std::move(work));
     ASSERT_EQ(got.size(), n);
-    for (size_t i = 0; i < n; ++i)
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "job " << i;
         EXPECT_EQ(got[i], Rng::mix(42, i)) << "slot " << i;
-}
-
-TEST(Parallel, PoolReusedAcrossBatches)
-{
-    ThreadPool pool(4);
-    for (int batch = 0; batch < 10; ++batch) {
-        std::atomic<int> sum{0};
-        std::vector<std::function<void()>> jobs;
-        for (int i = 0; i < 16; ++i)
-            jobs.push_back([&sum, i] { sum += i; });
-        pool.run(std::move(jobs));
-        EXPECT_EQ(sum.load(), 120) << "batch " << batch;
     }
 }
 
 TEST(Parallel, JobsActuallyRunConcurrently)
 {
-    // Eight jobs rendezvous at a barrier: this only completes if the
-    // pool really has eight jobs in flight at once (a serial or
-    // lossy pool would time out at the wait below, not deadlock).
+    // Eight jobs rendezvous at a barrier: this only completes if
+    // eight jobs really are in flight at once (a serial or lossy
+    // fan-out would time out at the wait below, not deadlock).
     const unsigned n = 8;
     std::mutex m;
     std::condition_variable cv;
     unsigned arrived = 0;
     bool all_arrived = false;
 
-    ThreadPool pool(n);
-    std::vector<std::function<void()>> jobs;
+    std::vector<std::function<bool()>> work;
     for (unsigned i = 0; i < n; ++i) {
-        jobs.push_back([&] {
+        work.push_back([&] {
             std::unique_lock<std::mutex> lock(m);
             if (++arrived == n) {
                 all_arrived = true;
@@ -107,77 +105,48 @@ TEST(Parallel, JobsActuallyRunConcurrently)
                 cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return all_arrived; });
             }
-            EXPECT_TRUE(all_arrived);
+            return all_arrived;
         });
     }
-    pool.run(std::move(jobs));
+    std::vector<bool> met = runSharded<bool>(n, std::move(work));
     EXPECT_EQ(arrived, n);
-}
-
-TEST(Parallel, ExceptionPropagates)
-{
-    ThreadPool pool(4);
-    std::vector<std::function<void()>> jobs;
-    for (int i = 0; i < 8; ++i)
-        jobs.push_back([] {});
-    jobs.push_back([] { throw std::runtime_error("job failed"); });
-
-    EXPECT_THROW(pool.run(std::move(jobs)), std::runtime_error);
-
-    // The pool survives a throwing batch.
-    std::atomic<int> ran{0};
-    pool.run({[&ran] { ++ran; }, [&ran] { ++ran; }});
-    EXPECT_EQ(ran.load(), 2);
+    EXPECT_EQ(met, std::vector<bool>(n, true));
 }
 
 TEST(Parallel, LowestIndexExceptionWins)
 {
-    // Every job throws; the rethrown message must always be job 0's,
-    // no matter which failure completed first.
-    for (int attempt = 0; attempt < 5; ++attempt) {
-        ThreadPool pool(4);
-        std::vector<std::function<void()>> jobs;
+    // Sharded, job 2 throws only after job 9 has thrown (or after a
+    // timeout). The rethrown exception is always job 2's, serial or
+    // sharded, and every job runs before it is rethrown.
+    for (unsigned jobs : {1u, 4u}) {
+        std::atomic<bool> nine_thrown{false};
+        std::atomic<int> ran{0};
+        std::vector<std::function<int()>> work;
         for (int i = 0; i < 12; ++i) {
-            jobs.push_back([i] {
-                throw std::runtime_error("job " + std::to_string(i));
+            work.push_back([i, jobs, &nine_thrown, &ran]() -> int {
+                ++ran;
+                if (i == 9) {
+                    nine_thrown = true;
+                    throw std::runtime_error("job 9");
+                }
+                if (i == 2) {
+                    for (int spin = 0;
+                         jobs > 1 && spin < 2000 && !nine_thrown; ++spin)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                    throw std::runtime_error("job 2");
+                }
+                return i;
             });
         }
         try {
-            pool.run(std::move(jobs));
-            FAIL() << "batch of throwing jobs did not throw";
+            runSharded<int>(jobs, std::move(work));
+            ADD_FAILURE() << "jobs " << jobs << ": no exception";
         } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "job 0");
+            EXPECT_STREQ(e.what(), "job 2") << "jobs " << jobs;
         }
+        EXPECT_EQ(ran.load(), 12) << "jobs " << jobs;
     }
-}
-
-TEST(Parallel, RunShardedExceptionFromWorkItem)
-{
-    std::vector<std::function<int()>> work;
-    for (int i = 0; i < 6; ++i)
-        work.push_back([i] { return i; });
-    work.push_back([]() -> int {
-        throw std::runtime_error("sharded failure");
-    });
-    EXPECT_THROW(runSharded<int>(4, std::move(work)),
-                 std::runtime_error);
-}
-
-TEST(Parallel, MergeRunsInCanonicalOrder)
-{
-    std::vector<std::function<size_t()>> work;
-    for (size_t i = 0; i < 64; ++i)
-        work.push_back([i] { return i * i; });
-
-    std::vector<size_t> order;
-    runSharded<size_t>(4, std::move(work),
-                       [&order](size_t i, size_t r) {
-                           EXPECT_EQ(r, i * i);
-                           order.push_back(i);
-                       });
-    ASSERT_EQ(order.size(), 64u);
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
 }
 
 TEST(Parallel, ShardedMatchesSerial)

@@ -25,17 +25,16 @@ namespace
 std::vector<std::function<int()>>
 brokenBatch()
 {
-    // Job 1 throws a plain exception, job 3 a structured one and
-    // job 4 something that is not a std::exception at all.
+    // Jobs 1 and 3 throw std::runtime_error (job 3's message needs
+    // JSON escaping) and job 4 something that is not a
+    // std::exception at all.
     std::vector<std::function<int()>> work;
     for (size_t i = 0; i < 6; ++i) {
         work.push_back([i]() -> int {
             if (i == 1)
                 throw std::runtime_error("job one is broken");
-            if (i == 3) {
-                throw StatusError(
-                    Status(StatusCode::ParseError, "job \"three\"\n"));
-            }
+            if (i == 3)
+                throw std::runtime_error("job \"three\"\n");
             if (i == 4)
                 throw 4;
             return static_cast<int>(i * 10);
@@ -63,7 +62,8 @@ TEST(Quarantine, CollectsEveryFailure)
         EXPECT_EQ(q[0].status.code(), StatusCode::JobFailed);
         EXPECT_EQ(q[0].status.message(), "job one is broken");
         EXPECT_EQ(q[1].label, "d");
-        EXPECT_EQ(q[1].status.code(), StatusCode::ParseError);
+        EXPECT_EQ(q[1].status.code(), StatusCode::JobFailed);
+        EXPECT_EQ(q[1].status.message(), "job \"three\"\n");
         EXPECT_EQ(q[2].label, "job 4");   // past the label list
         EXPECT_EQ(q[2].status.message(), "unknown exception");
     }
@@ -74,7 +74,7 @@ TEST(Quarantine, CollectsEveryFailure)
               "[{\"index\": 1, \"label\": \"b\", \"status\": "
               "\"job-failed\", \"message\": \"job one is broken\"}, "
               "{\"index\": 3, \"label\": \"d\", \"status\": "
-              "\"parse-error\", \"message\": "
+              "\"job-failed\", \"message\": "
               "\"job \\\"three\\\"\\u000a\"}, "
               "{\"index\": 4, \"label\": \"job 4\", \"status\": "
               "\"job-failed\", \"message\": \"unknown exception\"}]");
@@ -89,10 +89,8 @@ TEST(Quarantine, EachJobRunsOnceAcrossShardCounts)
         for (size_t i = 0; i < kJobs; ++i) {
             work.push_back([i, &runs]() -> int {
                 runs[i].fetch_add(1);
-                if (i == 2) {
-                    throw StatusError(
-                        Status(StatusCode::JobFailed, "job two"));
-                }
+                if (i == 2)
+                    throw std::runtime_error("job two");
                 if (i == 5)
                     throw std::runtime_error("job five");
                 return static_cast<int>(i * i);

@@ -30,7 +30,10 @@ Usage:
 baseline is preserved verbatim). --update-counters rewrites only the
 "counters" of existing current entries, leaving the committed perf
 numbers untouched (use after a legitimate simulation change, without
-having to re-measure throughput on the reference machine).
+having to re-measure throughput on the reference machine); a
+benchmark the run has but "current" lacks is inserted whole from the
+run and named in the message. A compare reports such a benchmark as
+"not gated (no committed entry)" without failing.
 """
 
 import argparse
@@ -146,6 +149,8 @@ def main():
               file=sys.stderr)
         return 1
 
+    ungated = sorted(name for name in run if name not in current)
+
     if args.update_counters:
         n = 0
         for name, entry in current.items():
@@ -155,11 +160,17 @@ def main():
                 n += 1
             else:
                 entry.pop("counters", None)
+        for name in ungated:
+            current[name] = run[name]
         with open(args.reference, "w") as f:
             json.dump(ref, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"bench_compare: rewrote counters for {n} benchmarks "
               f"in {args.reference} (perf numbers untouched)")
+        if ungated:
+            print(f"bench_compare: inserted {len(ungated)} new "
+                  f"benchmark(s) whole from the run: "
+                  f"{', '.join(ungated)}")
         return 0
 
     counter_lines, counter_failures = compare_counters(current, run)
@@ -190,6 +201,9 @@ def main():
                 print(f"bench_compare: (non-gating) {msg}")
             else:
                 failures.append(msg)
+
+    for name in ungated:
+        print(f"bench_compare: not gated (no committed entry): {name}")
 
     if counter_lines:
         print(f"\n{'deterministic counter':<34}{'committed':>16}"

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repo health check: formatting (advisory), a scan for library headers
-# only tests include, a normal build + ctest, a tree-wide clang-tidy
-# pass (gating when the binary is available), a lint-gate smoke test
-# on a deliberately corrupted distilled object, a fault-injection
-# campaign smoke (all fault types, determinism checked), a
-# Release-build benchmark smoke run (regression gate), and a second
-# build + ctest under ASan+UBSan (MSSP_SANITIZE).
+# only tests include, a bench_compare.py self-check, a normal build +
+# ctest, a tree-wide clang-tidy pass (gating when the binary is
+# available), a lint-gate smoke test on a deliberately corrupted
+# distilled object, a fault-injection campaign smoke (all fault
+# types, determinism checked), a Release-build benchmark smoke run
+# (regression gate), and a second build + ctest under ASan+UBSan
+# (MSSP_SANITIZE).
 #
 #   tools/check.sh [--fast]     # --fast skips the sanitizer pass
 #
@@ -55,6 +56,11 @@ if [[ ${#test_only[@]} -gt 0 ]]; then
          "${test_only[*]}" >&2
     exit 1
 fi
+
+# bench_compare.py must insert a benchmark the committed file lacks
+# on --update-counters, and report it as not gated on a compare.
+echo "== bench_compare self-check"
+python3 tools/bench_compare_selfcheck.py
 
 echo "== build (default flags)"
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
