@@ -17,7 +17,6 @@
 
 #include "arch/cell.hh"
 #include "arch/paged_mem.hh"
-#include "arch/state_delta.hh"
 #include "asm/program.hh"
 
 namespace mssp
@@ -90,41 +89,6 @@ class ArchState
             pc_ = v;
             break;
         }
-    }
-
-    /**
-     * The live-in verification check: true iff every binding of
-     * @p delta matches this state (delta ⊑ this, in the formal
-     * model's terms).
-     */
-    bool
-    matches(const StateDelta &delta) const
-    {
-        for (const auto &[cell, value] : delta) {
-            if (readCell(cell) != value)
-                return false;
-        }
-        return true;
-    }
-
-    /** Count the bindings of @p delta that disagree with this state. */
-    uint64_t
-    countMismatches(const StateDelta &delta) const
-    {
-        uint64_t n = 0;
-        for (const auto &[cell, value] : delta) {
-            if (readCell(cell) != value)
-                ++n;
-        }
-        return n;
-    }
-
-    /** Commit: superimpose @p delta onto this state (this ← delta). */
-    void
-    apply(const StateDelta &delta)
-    {
-        for (const auto &[cell, value] : delta)
-            writeCell(cell, value);
     }
 
     // -- Program loading --------------------------------------------------

@@ -14,8 +14,9 @@
  * These laws are property-tested in tests/test_formal_properties.cpp,
  * and the map implementation is model-checked against a reference
  * std::unordered_map in tests/test_state.cpp.
- * StateDeltas serve as task live-in sets, live-out sets and the index
- * of the master's write journal (mssp/checkpoint.hh) — every slave
+ * StateDeltas serve as a task's memory live-in and live-out sets
+ * (registers live in the task's register file, mssp/task.hh) and the
+ * index of the master's write journal (mssp/checkpoint.hh) — every slave
  * memory access probes one, so the storage
  * is an open-addressing flat hash map (power-of-two capacity, linear
  * probing, tombstone deletion): one contiguous allocation, no

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 
 #include "exec/seq_machine.hh"
 #include "sim/logging.hh"
@@ -107,7 +108,7 @@ runCampaignCell(const std::string &name, const SeqOracle &oracle,
     // verification re-checked from outside — a bug in the commit
     // path shows up here before it corrupts the final state).
     machine.setCommitHook([&run](const Task &t, const ArchState &arch) {
-        if (arch.countMismatches(t.liveIn) != 0)
+        if (t.liveInMismatches(arch) != 0)
             run.commitInvariantOk = false;
     });
 
@@ -399,11 +400,28 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
             return run;
         });
     }
+    // Threaded sweeps claim cells heaviest first (by the oracle's
+    // instruction count, which scales each cell's budget), so the
+    // longest workload's cells do not start in the last wave. The
+    // report stays in canonical order; --jobs 1 keeps it as the
+    // claim order too, progress log included.
+    std::vector<size_t> order;
+    if (jobs > 1) {
+        std::vector<uint64_t> weight;
+        for (const Cell &cell : cells)
+            weight.push_back(oracles.at(cell.workload).insts);
+        order.resize(cells.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&weight](size_t a, size_t b) {
+                             return weight[a] > weight[b];
+                         });
+    }
     // A cell that throws is quarantined instead of aborting the
     // sweep. The warm phase above stays plain runSharded on purpose:
     // every cell of a workload needs its oracle.
-    SupervisedResult<CampaignRun> swept =
-        runSupervised<CampaignRun>(jobs, std::move(work), labels);
+    SupervisedResult<CampaignRun> swept = runSupervised<CampaignRun>(
+        jobs, std::move(work), labels, order);
     report.runs = std::move(swept.healthy);
     report.quarantine = std::move(swept.quarantine);
     if (log && !report.quarantine.empty()) {

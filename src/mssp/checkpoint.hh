@@ -185,17 +185,23 @@ class Checkpoint
     std::optional<uint32_t>
     get(CellId cell) const
     {
-        if (cellKind(cell) == CellKind::Reg) {
-            unsigned r = cellIndex(cell);
-            if (r < NumRegs && (dirty_regs_ >> r & 1u))
-                return regs_[r];
-            return std::nullopt;
-        }
+        if (cellKind(cell) == CellKind::Reg)
+            return getReg(cellIndex(cell));
         if (__builtin_expect(!edits_.empty(), 0))
             return getEdited(cell);
         if (!journal_)
             return std::nullopt;
         return journal_->getAt(cell, epoch_);
+    }
+
+    /** The predicted value of register @p r, if the checkpoint holds
+     *  one. */
+    std::optional<uint32_t>
+    getReg(unsigned r) const
+    {
+        if (r < NumRegs && (dirty_regs_ >> r & 1u))
+            return regs_[r];
+        return std::nullopt;
     }
 
     /** Bind @p cell to @p value in this checkpoint only. */

@@ -253,7 +253,7 @@ MsspMachine::commitFront()
     ++site_stats_[t.startPc].committed;
     if (commit_hook_)
         commit_hook_(t, arch_);
-    arch_.apply(t.liveOut);
+    t.applyLiveOut(arch_);
     bool stays_at_pc = t.end == TaskEnd::Halted ||
                        t.end == TaskEnd::MmioStop;
     arch_.setPc(stays_at_pc ? t.pc : t.endPc);
@@ -263,7 +263,7 @@ MsspMachine::commitFront()
 
     ++ctrs_.tasksCommitted;
     task_size_dist_.sample(static_cast<double>(t.instCount));
-    livein_dist_.sample(static_cast<double>(t.liveIn.size()));
+    livein_dist_.sample(static_cast<double>(t.liveInCells()));
     ctrs_.archReads += t.archReads;
     if (t.end == TaskEnd::Halted)
         halted_ = true;
@@ -312,8 +312,8 @@ MsspMachine::tickCommit()
             squash(TaskOutcome::SquashedWrongPc);
             return;
         }
-        ctrs_.liveInCellsChecked += t.liveIn.size();
-        uint64_t mismatches = arch_.countMismatches(t.liveIn);
+        ctrs_.liveInCellsChecked += t.liveInCells();
+        uint64_t mismatches = t.liveInMismatches(arch_);
         if (mismatches) {
             ctrs_.liveInCellsMismatched += mismatches;
             squash(TaskOutcome::SquashedLiveIn);
@@ -333,7 +333,7 @@ MsspMachine::tickCommit()
       }
       case TaskEnd::Faulted: {
         // A fault with verified inputs is a genuine program fault.
-        if (t.startPc == arch_.pc() && arch_.matches(t.liveIn)) {
+        if (t.startPc == arch_.pc() && t.liveInMismatches(arch_) == 0) {
             faulted_ = true;
             return;
         }
@@ -353,10 +353,12 @@ MsspMachine::allocTask()
 {
     if (task_pool_.empty()) {
         auto task = std::make_unique<Task>();
-        // Typical tasks record dozens of cells; skip the early
-        // grow-probe-reinsert churn in the flat maps.
-        task->liveIn.reserve(64);
-        task->liveOut.reserve(64);
+        // Memory sets only (registers live in the task's register
+        // file): committed tasks of the analogues read at most 39
+        // cells and write at most 19, so these sizes skip every
+        // grow-rehash without inflating the per-reset clear().
+        task->memIn.reserve(32);
+        task->memOut.reserve(16);
         return task;
     }
     std::unique_ptr<Task> task = std::move(task_pool_.back());

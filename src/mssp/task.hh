@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 
+#include "arch/arch_state.hh"
 #include "arch/state_delta.hh"
 #include "exec/context.hh"
 #include "isa/isa.hh"
@@ -68,10 +69,15 @@ struct Task
     /** Master-predicted live-ins (diff against architected state). */
     Checkpoint checkpoint;
 
-    /** Values actually consumed, recorded at first read. */
-    StateDelta liveIn;
-    /** Values produced (local write buffer). */
-    StateDelta liveOut;
+    // -- Live-ins and live-outs ------------------------------------------
+    // A task's live-in set is regIn under regInMask plus memIn; its
+    // live-out set is regCache under regDirty plus memOut. Walk them
+    // with forEachLiveIn()/forEachLiveOut().
+
+    /** Memory cells consumed, recorded at first read. */
+    StateDelta memIn;
+    /** Memory cells produced (local write buffer). */
+    StateDelta memOut;
     /** Buffered program outputs, released at commit. */
     OutputStream outputs;
 
@@ -87,14 +93,16 @@ struct Task
     /** Number of reads that went through to architected state. */
     uint64_t archReads = 0;
 
-    // -- Register fast path (pure optimization) -------------------------
-    /** When bit r of regValid is set, regCache[r] holds the value the
-     *  task currently observes for register r (its live-out if it has
-     *  written r, otherwise its recorded live-in). Lets the slave skip
-     *  the delta-map probes on repeat register accesses; the
-     *  authoritative record stays in liveIn/liveOut. */
+    // -- Register file ----------------------------------------------------
+    /** Register live-ins: regIn[r] is the value of the task's first
+     *  read of r when bit r of regInMask is set. */
+    std::array<uint32_t, NumRegs> regIn{};
+    uint32_t regInMask = 0;
+    /** The value the task currently observes for every register it
+     *  has touched (bit r set in regInMask | regDirty): its last write
+     *  when bit r of regDirty is set (a live-out), else its live-in. */
     std::array<uint32_t, NumRegs> regCache{};
-    uint32_t regValid = 0;
+    uint32_t regDirty = 0;
 
     bool
     done() const
@@ -102,9 +110,64 @@ struct Task
         return end != TaskEnd::None;
     }
 
+    /** Call @p fn(cell, value) for every live-in binding. */
+    template <class Fn>
+    void
+    forEachLiveIn(Fn &&fn) const
+    {
+        for (uint32_t m = regInMask; m; m &= m - 1) {
+            unsigned r = static_cast<unsigned>(__builtin_ctz(m));
+            fn(makeRegCell(r), regIn[r]);
+        }
+        for (const auto &[cell, value] : memIn)
+            fn(cell, value);
+    }
+
+    /** Call @p fn(cell, value) for every live-out binding. */
+    template <class Fn>
+    void
+    forEachLiveOut(Fn &&fn) const
+    {
+        for (uint32_t m = regDirty; m; m &= m - 1) {
+            unsigned r = static_cast<unsigned>(__builtin_ctz(m));
+            fn(makeRegCell(r), regCache[r]);
+        }
+        for (const auto &[cell, value] : memOut)
+            fn(cell, value);
+    }
+
+    /** Live-in cells recorded (the liveInCells stat). */
+    size_t
+    liveInCells() const
+    {
+        return static_cast<size_t>(__builtin_popcount(regInMask)) +
+               memIn.size();
+    }
+
+    /** Live-in bindings that disagree with @p arch: the task verifies
+     *  iff this is 0 (live-in ⊑ arch, in the formal model's terms). */
+    uint64_t
+    liveInMismatches(const ArchState &arch) const
+    {
+        uint64_t n = 0;
+        forEachLiveIn([&](CellId cell, uint32_t value) {
+            n += arch.readCell(cell) != value;
+        });
+        return n;
+    }
+
+    /** Commit: superimpose the live-outs onto @p arch. */
+    void
+    applyLiveOut(ArchState &arch) const
+    {
+        forEachLiveOut([&](CellId cell, uint32_t value) {
+            arch.writeCell(cell, value);
+        });
+    }
+
     /**
      * Return the task to its freshly-constructed state, keeping the
-     * flat maps' (and output buffer's) allocated capacity so recycled
+     * memory maps' (and output buffer's) allocated capacity so recycled
      * tasks skip the early grow-rehash churn entirely.
      */
     void
@@ -117,8 +180,8 @@ struct Task
         endVisits = 1;
         runToHalt = false;
         checkpoint = Checkpoint{};
-        liveIn.clear();
-        liveOut.clear();
+        memIn.clear();
+        memOut.clear();
         outputs.clear();
         pc = 0;
         visits = 0;
@@ -127,7 +190,9 @@ struct Task
         pausedAtForkSite = false;
         slaveId = -1;
         archReads = 0;
-        regValid = 0;   // regCache is guarded by regValid bits
+        // regIn and regCache are guarded by their masks.
+        regInMask = 0;
+        regDirty = 0;
     }
 };
 

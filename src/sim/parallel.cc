@@ -17,15 +17,17 @@ defaultJobs()
 
 std::vector<std::exception_ptr>
 forEachIndex(unsigned threads, size_t n,
-             const std::function<void(size_t)> &job)
+             const std::function<void(size_t)> &job,
+             const std::vector<size_t> &order)
 {
     std::vector<std::exception_ptr> errors(n);
     std::atomic<size_t> next{0};
     auto drain = [&] {
         for (;;) {
-            size_t i = next++;
-            if (i >= n)
+            size_t k = next++;
+            if (k >= n)
                 return;
+            size_t i = order.empty() ? k : order[k];
             try {
                 job(i);
             } catch (...) {

@@ -16,8 +16,9 @@
  *  - forEachIndex(): the one fan-out. The whole job vector is known
  *    up front, so each of min(threads, n) fresh std::threads claims
  *    the next index from one shared atomic counter until none is
- *    left; each job's exception lands in its own per-index slot.
- *    `threads <= 1` runs the same loop on the calling thread.
+ *    left (or the next entry of a caller-given claim order); each
+ *    job's exception lands in its own per-index slot. `threads <= 1`
+ *    runs the same loop on the calling thread.
  *
  *  - runSharded(): executes a vector of result-returning closures and
  *    returns the results in canonical job order, whatever order they
@@ -53,10 +54,16 @@ unsigned defaultJobs();
  * host threads (the calling thread alone when that is <= 1) and
  * return, indexed like the jobs, the exception each one threw (null
  * for jobs that returned). Blocks until every job has finished.
+ *
+ * @p order, when not empty, is a permutation of [0, n): jobs are
+ * claimed in that order (heaviest first, so the longest jobs do not
+ * start in the last wave) instead of ascending. Only the schedule
+ * changes; results stay indexed by job.
  */
 std::vector<std::exception_ptr>
 forEachIndex(unsigned threads, size_t n,
-             const std::function<void(size_t)> &job);
+             const std::function<void(size_t)> &job,
+             const std::vector<size_t> &order = {});
 
 /**
  * Run @p work[i] for every i across @p jobs host threads and return

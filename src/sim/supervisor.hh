@@ -73,16 +73,19 @@ Status jobFailure(const std::exception_ptr &error);
  *
  * @p labels (optional) names jobs in the quarantine report
  * ("gzip/spawn-drop/0.2"); jobs without one get "job <index>".
+ * @p order (optional) is forEachIndex's claim order.
  */
 template <typename R>
 SupervisedResult<R>
 runSupervised(unsigned jobs, std::vector<std::function<R()>> work,
-              const std::vector<std::string> &labels = {})
+              const std::vector<std::string> &labels = {},
+              const std::vector<size_t> &order = {})
 {
     std::vector<std::optional<R>> slots(work.size());
     std::vector<std::exception_ptr> errors = forEachIndex(
         jobs, work.size(),
-        [&slots, &work](size_t i) { slots[i].emplace(work[i]()); });
+        [&slots, &work](size_t i) { slots[i].emplace(work[i]()); },
+        order);
 
     SupervisedResult<R> result;
     result.healthy.reserve(slots.size());

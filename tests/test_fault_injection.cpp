@@ -51,7 +51,7 @@ runWithPlan(const PreparedWorkload &w, const FaultPlan &plan,
     // Sharp invariant: every committed task's live-ins must match
     // architected state (verified from outside the machine).
     machine.setCommitHook([](const Task &t, const ArchState &arch) {
-        ASSERT_EQ(arch.countMismatches(t.liveIn), 0u)
+        ASSERT_EQ(t.liveInMismatches(arch), 0u)
             << "commit with unverified live-ins";
     });
     FaultRun out;

@@ -234,7 +234,7 @@ TEST(TaskSafety, EveryCommitSatisfiesTheorem2)
     uint64_t commits_checked = 0;
     machine.setCommitHook([&](const Task &t, const ArchState &arch) {
         // Safety precondition (live-ins consistent with S).
-        ASSERT_TRUE(arch.matches(t.liveIn));
+        ASSERT_EQ(t.liveInMismatches(arch), 0u);
 
         // Replay: S' = seq(S, #t).
         ArchState replay(arch);   // deep copy
@@ -276,17 +276,17 @@ TEST(TaskSafety, EveryCommitSatisfiesTheorem2)
 
         // S <- live_out(t).
         ArchState superimposed(arch);
-        superimposed.apply(t.liveOut);
+        t.applyLiveOut(superimposed);
 
         // Compare: registers, and every cell in the live-out set (the
         // only memory cells the task may change).
         for (unsigned r = 0; r < NumRegs; ++r)
             EXPECT_EQ(superimposed.readReg(r), replay.readReg(r));
-        for (const auto &[cell, value] : t.liveOut) {
+        t.forEachLiveOut([&](CellId cell, uint32_t) {
             EXPECT_EQ(superimposed.readCell(cell),
                       replay.readCell(cell))
                 << cellToString(cell);
-        }
+        });
         ++commits_checked;
     });
 
@@ -314,14 +314,12 @@ TEST(JumpingRefinement, CommitTrajectoryIsSeqSubsequence)
         oracle.run(t.instCount);
         // After commit the architected state must equal the oracle;
         // we verify the *pre*-commit part here: live-ins consistent.
-        EXPECT_TRUE(arch.matches(t.liveIn));
+        EXPECT_EQ(t.liveInMismatches(arch), 0u);
         // And the task's live-outs must match the oracle's state.
-        for (const auto &[cell, value] : t.liveOut) {
-            if (cellKind(cell) == CellKind::Pc)
-                continue;
+        t.forEachLiveOut([&](CellId cell, uint32_t value) {
             EXPECT_EQ(value, oracle.state().readCell(cell))
                 << cellToString(cell);
-        }
+        });
         ++commits;
     });
 

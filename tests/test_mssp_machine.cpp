@@ -261,12 +261,108 @@ TEST(MsspMachine, CommitHookObservesTaskSafety)
     uint64_t checked = 0;
     machine.setCommitHook([&](const Task &t, const ArchState &arch) {
         ++checked;
-        EXPECT_TRUE(arch.matches(t.liveIn));
+        EXPECT_EQ(t.liveInMismatches(arch), 0u);
         EXPECT_EQ(t.startPc, arch.pc());
     });
     MsspResult r = machine.run(10000000);
     expectEquivalent(w.orig, r);
     EXPECT_GT(checked, 0u);
+}
+
+/** The one instruction word of @p line ("li s1, 7"). */
+uint32_t
+encode(const std::string &line)
+{
+    Program p = assemble(line + "\n");
+    return p.word(p.entry());
+}
+
+/**
+ * Prepare @p src with a fork site at label "loop" and no optimizing
+ * pass, so the master runs the original code word for word; then
+ * rewrite each (from, to) instruction of the distilled code. The
+ * master then predicts wrong values exactly where the test says.
+ */
+PreparedWorkload
+prepareMispredicting(
+    const std::string &src,
+    const std::vector<std::pair<std::string, std::string>> &patches)
+{
+    Program prog = assemble(src);
+    uint32_t loop_pc = 0;
+    EXPECT_TRUE(prog.lookupSymbol("loop", loop_pc));
+    DistillerOptions opts;
+    opts.enableBranchPrune = false;
+    opts.enableConstFold = false;
+    opts.enableDce = false;
+    opts.explicitForkSites = {loop_pc};
+    PreparedWorkload w = prepare(prog, prog, opts);
+    for (const auto &[from, to] : patches) {
+        uint32_t want = encode(from);
+        unsigned hits = 0;
+        for (const auto &[addr, word] : w.dist.prog.image()) {
+            if (addr >= DistilledCodeBase && word == want) {
+                w.dist.prog.setWord(addr, encode(to));
+                ++hits;
+            }
+        }
+        EXPECT_EQ(hits, 1u) << from;
+    }
+    return w;
+}
+
+TEST(MsspMachine, WrongRegisterLiveInSquashes)
+{
+    // The master predicts s1 = 8 where the program has 7. The first
+    // task from "loop" reads s1 from its checkpoint before writing
+    // it, so s1 is its only wrong live-in; the restarted master then
+    // seeds s1 from architected state and every later task verifies.
+    PreparedWorkload w = prepareMispredicting(
+        "    li s1, 7\n"
+        "    li t0, 4\n"
+        "    li s0, 0\n"
+        "loop:\n"
+        "    add s0, s0, s1\n"
+        "    addi t0, t0, -1\n"
+        "    bnez t0, loop\n"
+        "    out s0, 1\n"
+        "    halt\n",
+        {{"li s1, 7", "li s1, 8"}});
+    MsspMachine machine(w.orig, w.dist, MsspConfig{});
+    MsspResult r = machine.run(1000000);
+    expectEquivalent(w.orig, r);
+    const MsspCounters &c = machine.counters();
+    EXPECT_EQ(c.tasksSquashedLiveIn, 1u);
+    EXPECT_EQ(c.liveInCellsMismatched, 1u);
+    EXPECT_EQ(c.squashEvents, 1u);
+}
+
+TEST(MsspMachine, FaultedTaskWithWrongRegisterSquashes)
+{
+    // The master predicts s1 = 1, so the task from "loop" (like the
+    // master itself) branches to "bad" and faults. Its live-ins do
+    // not verify, so the fault is misspeculation, not the program's:
+    // the head squashes and the run halts like SEQ.
+    PreparedWorkload w = prepareMispredicting(
+        "    li s1, 0\n"
+        "    li t0, 4\n"
+        "    li s0, 0\n"
+        "loop:\n"
+        "    bnez s1, bad\n"
+        "    add s0, s0, t0\n"
+        "    addi t0, t0, -1\n"
+        "    bnez t0, loop\n"
+        "    out s0, 1\n"
+        "    halt\n"
+        "bad:\n"
+        "    j nowhere\n"
+        "nowhere:\n",
+        {{"li s1, 0", "li s1, 1"}});
+    MsspMachine machine(w.orig, w.dist, MsspConfig{});
+    MsspResult r = machine.run(1000000);
+    EXPECT_EQ(r.stopReason, StopReason::Halted);
+    expectEquivalent(w.orig, r);
+    EXPECT_EQ(machine.counters().tasksSquashedLiveIn, 1u);
 }
 
 TEST(MsspMachine, StopReasonReportsHowTheRunEnded)

@@ -59,6 +59,27 @@ TEST(Parallel, SerialJobCountsRunInOrder)
     }
 }
 
+TEST(Parallel, ClaimOrderSchedulesButKeepsJobIndices)
+{
+    // A claim order changes only which job runs when: on one thread
+    // the jobs run exactly in that order, and every error stays at
+    // its job's index.
+    const std::vector<size_t> claim = {3, 0, 4, 1, 2};
+    std::vector<size_t> ran;
+    std::vector<std::exception_ptr> errors = forEachIndex(
+        1, claim.size(),
+        [&ran](size_t i) {
+            ran.push_back(i);
+            if (i == 4)
+                throw std::runtime_error("four");
+        },
+        claim);
+    EXPECT_EQ(ran, claim);
+    ASSERT_EQ(errors.size(), claim.size());
+    for (size_t i = 0; i < errors.size(); ++i)
+        EXPECT_EQ(errors[i] != nullptr, i == 4) << i;
+}
+
 TEST(Parallel, ManyMoreJobsThanThreads)
 {
     // 1000 jobs on 4 threads: every index is claimed exactly once

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for SlaveCore and TaskContext: live-in recording
- * priority, checkpoint consumption, fork-site pauses, end-visit
+ * priority, checkpoint consumption, the task register file, fork-site pauses, end-visit
  * counting, runaway caps, output buffering and timing stalls.
  */
 
@@ -77,12 +77,12 @@ TEST_F(SlaveFixture, ReadPriorityLocalThenCheckpointThenArch)
     // Checkpoint wins over arch.
     EXPECT_EQ(ctx.readMem(0x100), 2u);
     // First read was recorded as a live-in with the checkpoint value.
-    EXPECT_EQ(t.liveIn.get(makeMemCell(0x100)).value(), 2u);
+    EXPECT_EQ(t.memIn.get(makeMemCell(0x100)).value(), 2u);
     // A local write wins over everything afterwards.
     ctx.writeMem(0x100, 3);
     EXPECT_EQ(ctx.readMem(0x100), 3u);
     // The live-in stays at the first-read value.
-    EXPECT_EQ(t.liveIn.get(makeMemCell(0x100)).value(), 2u);
+    EXPECT_EQ(t.memIn.get(makeMemCell(0x100)).value(), 2u);
     // Reads not covered by the checkpoint go to arch and count.
     EXPECT_EQ(ctx.readMem(0x101), 0u);
     EXPECT_EQ(t.archReads, 1u);
@@ -99,7 +99,135 @@ TEST_F(SlaveFixture, LiveInRecordsFirstValueOnly)
     // keeps its recorded value — verification will compare later.
     arch.writeMem(0x200, 8);
     EXPECT_EQ(ctx.readMem(0x200), 7u);
-    EXPECT_EQ(t.liveIn.get(makeMemCell(0x200)).value(), 7u);
+    EXPECT_EQ(t.memIn.get(makeMemCell(0x200)).value(), 7u);
+}
+
+/** Every (cell, value) of @p t's live-ins or live-outs, in walk
+ *  order. */
+std::vector<StateDelta::value_type>
+liveIns(const Task &t)
+{
+    std::vector<StateDelta::value_type> v;
+    t.forEachLiveIn([&](CellId c, uint32_t x) { v.emplace_back(c, x); });
+    return v;
+}
+
+std::vector<StateDelta::value_type>
+liveOuts(const Task &t)
+{
+    std::vector<StateDelta::value_type> v;
+    t.forEachLiveOut([&](CellId c, uint32_t x) { v.emplace_back(c, x); });
+    return v;
+}
+
+TEST_F(SlaveFixture, FirstRegisterReadGoesCheckpointThenArch)
+{
+    // t1 comes from the checkpoint; t2 reads through to arch, which
+    // counts an arch read and stalls the slave even with the L1 on
+    // (it filters memory lines only).
+    loadSource("add t0, t1, t2\nhalt\n");
+    arch.writeReg(reg::T1, 5);
+    arch.writeReg(reg::T2, 6);
+    cfg.archReadLatency = 4;
+    cfg.useSlaveL1 = true;
+    Task t = makeTask(prog.entry());
+    t.runToHalt = true;
+    t.checkpoint.set(makeRegCell(reg::T1), 9);
+    SlaveCore slave = makeSlave(arch, cfg);
+    runSlave(slave, t);
+    EXPECT_EQ(t.end, TaskEnd::Halted);
+    EXPECT_EQ(t.archReads, 1u);
+    EXPECT_EQ(slave.archStallCycles(), 4u);
+    EXPECT_EQ(t.liveInCells(), 2u);
+    EXPECT_EQ(liveIns(t),
+              (std::vector<StateDelta::value_type>{
+                  {makeRegCell(reg::T1), 9}, {makeRegCell(reg::T2), 6}}));
+    EXPECT_EQ(liveOuts(t),
+              (std::vector<StateDelta::value_type>{
+                  {makeRegCell(reg::T0), 15}}));
+
+    // A repeat read stays in the register file: no arch read, no
+    // stall, no second capture.
+    TaskContext ctx(t, arch);
+    ctx.beginStep();
+    EXPECT_EQ(ctx.readReg(reg::T2), 6u);
+    EXPECT_EQ(ctx.archReadsLastStep, 0u);
+    EXPECT_EQ(t.archReads, 1u);
+    EXPECT_EQ(t.liveInCells(), 2u);
+}
+
+TEST_F(SlaveFixture, RegisterWriteAfterReadKeepsTheLiveIn)
+{
+    loadSource("halt\n");
+    arch.writeReg(reg::T0, 5);
+    Task t = makeTask(0);
+    TaskContext ctx(t, arch);
+    EXPECT_EQ(ctx.readReg(reg::T0), 5u);
+    ctx.writeReg(reg::T0, 7);
+    EXPECT_EQ(ctx.readReg(reg::T0), 7u);
+    // Verification still compares the value first read.
+    EXPECT_EQ(liveIns(t), (std::vector<StateDelta::value_type>{
+                              {makeRegCell(reg::T0), 5}}));
+    EXPECT_EQ(liveOuts(t), (std::vector<StateDelta::value_type>{
+                               {makeRegCell(reg::T0), 7}}));
+}
+
+TEST_F(SlaveFixture, RegisterReadAfterWriteRecordsNothing)
+{
+    loadSource("halt\n");
+    arch.writeReg(reg::T0, 5);
+    Task t = makeTask(0);
+    TaskContext ctx(t, arch);
+    ctx.writeReg(reg::T0, 7);
+    EXPECT_EQ(ctx.readReg(reg::T0), 7u);
+    EXPECT_EQ(t.liveInCells(), 0u);
+    EXPECT_TRUE(liveIns(t).empty());
+    EXPECT_EQ(t.archReads, 0u);
+}
+
+TEST_F(SlaveFixture, MmioDiscardedStepKeepsItsCaptureButNotItsWrite)
+{
+    // The load reads t1 (a live-in), touches device space and is
+    // discarded: its write of t0 must not become a live-out.
+    loadSource("lw t0, 0(t1)\nhalt\n");
+    arch.writeReg(reg::T1, MmioBase);
+    Task t = makeTask(prog.entry());
+    t.runToHalt = true;
+    SlaveCore slave = makeSlave(arch, cfg);
+    runSlave(slave, t);
+    EXPECT_EQ(t.end, TaskEnd::MmioStop);
+    EXPECT_EQ(t.instCount, 0u);
+    EXPECT_EQ(t.pc, prog.entry());
+    EXPECT_TRUE(liveOuts(t).empty());
+    EXPECT_EQ(liveIns(t), (std::vector<StateDelta::value_type>{
+                              {makeRegCell(reg::T1), MmioBase}}));
+}
+
+TEST_F(SlaveFixture, VerifyAndApplyCoverRegistersAndMemory)
+{
+    loadSource("halt\n");
+    arch.writeReg(reg::T0, 10);
+    arch.writeMem(0x100, 20);
+    Task t = makeTask(0);
+    TaskContext ctx(t, arch);
+    ctx.readReg(reg::T0);
+    ctx.readMem(0x100);
+    ctx.writeReg(reg::T1, 222);
+    ctx.writeMem(0x104, 5);
+    EXPECT_EQ(t.liveInMismatches(arch), 0u);
+
+    // Each half of the live-in set is verified.
+    ArchState other = arch;
+    other.writeReg(reg::T0, 11);
+    EXPECT_EQ(t.liveInMismatches(other), 1u);
+    other.writeMem(0x100, 21);
+    EXPECT_EQ(t.liveInMismatches(other), 2u);
+
+    // Commit superimposes both halves of the live-out set.
+    t.applyLiveOut(arch);
+    EXPECT_EQ(arch.readReg(reg::T1), 222u);
+    EXPECT_EQ(arch.readMem(0x104), 5u);
+    EXPECT_EQ(arch.readReg(reg::T0), 10u);
 }
 
 TEST_F(SlaveFixture, FetchIsNotALiveIn)
@@ -109,9 +237,8 @@ TEST_F(SlaveFixture, FetchIsNotALiveIn)
     SlaveCore slave = makeSlave(arch, cfg);
     runSlave(slave, t);
     EXPECT_EQ(t.end, TaskEnd::Halted);
-    for (const auto &[cell, value] : t.liveIn)
-        EXPECT_NE(cellKind(cell), CellKind::Mem)
-            << "instruction fetches must not be recorded";
+    EXPECT_TRUE(t.memIn.empty())
+        << "instruction fetches must not be recorded";
 }
 
 TEST_F(SlaveFixture, RunsToHaltAndCountsInstructions)
@@ -131,7 +258,7 @@ TEST_F(SlaveFixture, RunsToHaltAndCountsInstructions)
     EXPECT_EQ(t.instCount, 1 + 20 + 1 + 1u);
     ASSERT_EQ(t.outputs.size(), 1u);
     EXPECT_EQ(t.outputs[0].port, 5);
-    EXPECT_TRUE(t.liveOut.contains(makeRegCell(reg::T0)));
+    EXPECT_TRUE(t.regDirty >> reg::T0 & 1u);
 }
 
 TEST_F(SlaveFixture, PausesAtForkSiteUntilEndKnown)

@@ -305,30 +305,6 @@ TEST(ArchState, CellRoundTrip)
     EXPECT_EQ(s.readCell(PcCell), 0x1000u);
 }
 
-TEST(ArchState, MatchesAndApply)
-{
-    ArchState s;
-    s.writeReg(1, 10);
-    s.writeMem(0x100, 20);
-
-    StateDelta live_in;
-    live_in.set(makeRegCell(1), 10);
-    live_in.set(makeMemCell(0x100), 20);
-    EXPECT_TRUE(s.matches(live_in));
-    EXPECT_EQ(s.countMismatches(live_in), 0u);
-
-    live_in.set(makeMemCell(0x104), 5);   // arch holds 0 there
-    EXPECT_FALSE(s.matches(live_in));
-    EXPECT_EQ(s.countMismatches(live_in), 1u);
-
-    StateDelta live_out;
-    live_out.set(makeRegCell(2), 222);
-    live_out.set(makeMemCell(0x104), 5);
-    s.apply(live_out);
-    EXPECT_EQ(s.readReg(2), 222u);
-    EXPECT_TRUE(s.matches(live_in));
-}
-
 TEST(ArchState, LoadProgramSetsImageAndEntry)
 {
     Program prog;
