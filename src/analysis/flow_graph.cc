@@ -100,90 +100,6 @@ graphOfIr(const DistillIr &ir)
     return g;
 }
 
-std::vector<int>
-computeIdom(const FlowGraph &g)
-{
-    std::vector<int> idom(g.size(), -1);
-    if (g.succs.empty())
-        return idom;
-    std::vector<int> order = g.rpo();
-
-    // rpoNum[n] = position of n in RPO (lower = earlier).
-    std::vector<int> rpo_num(g.size(), -1);
-    for (size_t i = 0; i < order.size(); ++i)
-        rpo_num[static_cast<size_t>(order[i])] = static_cast<int>(i);
-
-    auto intersect = [&](int a, int b) {
-        while (a != b) {
-            while (rpo_num[static_cast<size_t>(a)] >
-                   rpo_num[static_cast<size_t>(b)]) {
-                a = idom[static_cast<size_t>(a)];
-            }
-            while (rpo_num[static_cast<size_t>(b)] >
-                   rpo_num[static_cast<size_t>(a)]) {
-                b = idom[static_cast<size_t>(b)];
-            }
-        }
-        return a;
-    };
-
-    idom[static_cast<size_t>(g.entry)] = g.entry;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int n : order) {
-            if (n == g.entry)
-                continue;
-            int new_idom = -1;
-            for (int p : g.preds[static_cast<size_t>(n)]) {
-                if (idom[static_cast<size_t>(p)] < 0)
-                    continue;   // pred not yet processed / unreachable
-                new_idom = new_idom < 0 ? p : intersect(p, new_idom);
-            }
-            if (new_idom >= 0 &&
-                idom[static_cast<size_t>(n)] != new_idom) {
-                idom[static_cast<size_t>(n)] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    return idom;
-}
-
-DomTree::DomTree(const FlowGraph &g)
-    : idom_(computeIdom(g)), depth_(g.size(), -1)
-{
-    // Depths via memoized idom walks (the tree is acyclic).
-    for (size_t n = 0; n < idom_.size(); ++n) {
-        if (idom_[n] < 0 || depth_[n] >= 0)
-            continue;
-        std::vector<size_t> chain;
-        size_t m = n;
-        while (depth_[m] < 0 &&
-               idom_[m] != static_cast<int>(m)) {
-            chain.push_back(m);
-            m = static_cast<size_t>(idom_[m]);
-        }
-        int base = idom_[m] == static_cast<int>(m) ? 0 : depth_[m];
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-            depth_[*it] = ++base;
-        if (idom_[m] == static_cast<int>(m))
-            depth_[m] = 0;
-    }
-}
-
-bool
-DomTree::dominates(int a, int b) const
-{
-    if (!reachable(a) || !reachable(b))
-        return false;
-    while (depth_[static_cast<size_t>(b)] >
-           depth_[static_cast<size_t>(a)]) {
-        b = idom_[static_cast<size_t>(b)];
-    }
-    return a == b;
-}
-
 SccResult
 computeSccs(const FlowGraph &g)
 {

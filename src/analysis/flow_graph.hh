@@ -8,10 +8,9 @@
  * or the distiller's DistillIr) so an analysis written once serves the
  * distiller, the linter and the tests alike.
  *
- * On top of the raw graph this header provides the two structural
- * analyses everything else leans on: immediate dominators
- * (Cooper-Harvey-Kennedy over RPO) and strongly connected components
- * (Tarjan), the latter being how the linter finds inescapable loops.
+ * On top of the raw graph this header provides reverse post-order
+ * (the solver's iteration order) and strongly connected components
+ * (Tarjan), which is how the linter finds inescapable loops.
  */
 
 #ifndef MSSP_ANALYSIS_FLOW_GRAPH_HH
@@ -75,36 +74,6 @@ FlowGraph graphOfCfg(const Cfg &cfg, std::vector<uint32_t> &starts);
  * their boundary conditions, as computeIrLiveness does).
  */
 FlowGraph graphOfIr(const DistillIr &ir);
-
-/**
- * Immediate dominators (Cooper, Harvey & Kennedy, "A Simple, Fast
- * Dominance Algorithm"). idom[entry] == entry; nodes unreachable from
- * the entry get -1.
- */
-std::vector<int> computeIdom(const FlowGraph &g);
-
-/** Dominator tree with O(depth) reflexive dominance queries. */
-class DomTree
-{
-  public:
-    explicit DomTree(const FlowGraph &g);
-
-    /** @return true when @p a dominates @p b (reflexively). */
-    bool dominates(int a, int b) const;
-
-    /** Immediate dominator of @p n (-1 for unreachable, entry for
-     *  the entry itself). */
-    int idom(int n) const { return idom_[static_cast<size_t>(n)]; }
-
-    bool reachable(int n) const
-    {
-        return idom_[static_cast<size_t>(n)] >= 0;
-    }
-
-  private:
-    std::vector<int> idom_;
-    std::vector<int> depth_;
-};
 
 /** Strongly connected components (Tarjan). */
 struct SccResult

@@ -4,6 +4,7 @@
 #include <bit>
 #include <set>
 
+#include "analysis/absint.hh"
 #include "analysis/flow_graph.hh"
 #include "analysis/liveness.hh"
 #include "cfg/cfg.hh"
@@ -85,18 +86,6 @@ maskNames(RegMask mask)
         }
     }
     return out;
-}
-
-/** Original block containing @p pc, or null. */
-const BasicBlock *
-blockContaining(const Cfg &cfg, uint32_t pc)
-{
-    const auto &blocks = cfg.blocks();
-    auto it = blocks.upper_bound(pc);
-    if (it == blocks.begin())
-        return nullptr;
-    --it;
-    return pc < it->second.endPc() ? &it->second : nullptr;
 }
 
 /** Shared state of one verification run. */
@@ -438,7 +427,7 @@ Verify::checkEdits()
     for (const DistillEdit &e : dist.report.edits) {
         const char *pname = distillPassName(e.pass);
 
-        const BasicBlock *bb = blockContaining(origCfg, e.origPc);
+        const BasicBlock *bb = containingBlock(origCfg, e.origPc);
         if (!bb) {
             addEdit(Severity::Error, LintCheck::EditOutsideProgram, e,
                     strfmt("%s edit at 0x%x lies outside the "
@@ -519,7 +508,7 @@ void
 Verify::checkSpecEdits()
 {
     for (const SpecEdit &e : dist.specEdits) {
-        const BasicBlock *bb = blockContaining(origCfg, e.origPc);
+        const BasicBlock *bb = containingBlock(origCfg, e.origPc);
         Instruction oinst =
             bb ? decode(orig.word(e.origPc)) : Instruction{};
         if (!bb || oinst.op != Opcode::Lw || oinst.rd != e.reg) {

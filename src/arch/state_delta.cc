@@ -10,10 +10,9 @@ StateDelta::rehash(size_t new_cap)
 {
     std::vector<value_type> old = std::move(slots_);
     slots_.assign(new_cap, {EmptyKey, 0});
-    tombstones_ = 0;
     size_t mask = new_cap - 1;
     for (const auto &[cell, value] : old) {
-        if (cell == EmptyKey || cell == TombKey)
+        if (cell == EmptyKey)
             continue;
         size_t i = hashCell(cell) & mask;
         while (slots_[i].first != EmptyKey)
@@ -26,8 +25,8 @@ void
 StateDelta::growAndInsert(CellId cell, uint32_t value)
 {
     rehash(capacityFor(size_ + 1));
-    // The key was absent (callers only grow on the insert path), the
-    // fresh table has no tombstones and cannot need another grow.
+    // The key was absent (callers only grow on the insert path) and
+    // the fresh table cannot need another grow.
     Cursor c = lookup(cell);
     slots_[c.index] = {cell, value};
     ++size_;

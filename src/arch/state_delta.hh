@@ -19,9 +19,10 @@
  * index of the master's write journal (mssp/checkpoint.hh) — every slave
  * memory access probes one, so the storage
  * is an open-addressing flat hash map (power-of-two capacity, linear
- * probing, tombstone deletion): one contiguous allocation, no
- * per-node indirection, and a find-then-insert cursor that lets
- * live-in capture probe once instead of twice.
+ * probing): one contiguous allocation, no per-node indirection, and
+ * a find-then-insert cursor that lets live-in capture probe once
+ * instead of twice. Like the algebra it implements, it has no
+ * deletion: bindings only accumulate until clear().
  */
 
 #ifndef MSSP_ARCH_STATE_DELTA_HH
@@ -69,18 +70,12 @@ class StateDelta
         if (slots_.empty())
             return Cursor{};
         size_t mask = slots_.size() - 1;
-        size_t i = hashCell(cell) & mask;
-        size_t insert_at = SIZE_MAX;
-        for (;; i = (i + 1) & mask) {
+        for (size_t i = hashCell(cell) & mask;; i = (i + 1) & mask) {
             CellId k = slots_[i].first;
             if (k == cell)
                 return Cursor{i, true};
-            if (k == EmptyKey) {
-                return Cursor{insert_at == SIZE_MAX ? i : insert_at,
-                              false};
-            }
-            if (k == TombKey && insert_at == SIZE_MAX)
-                insert_at = i;
+            if (k == EmptyKey)
+                return Cursor{i, false};
         }
     }
 
@@ -103,8 +98,6 @@ class StateDelta
             growAndInsert(cell, value);
             return;
         }
-        if (slots_[c.index].first == TombKey)
-            --tombstones_;
         slots_[c.index] = {cell, value};
         ++size_;
     }
@@ -113,20 +106,6 @@ class StateDelta
     void set(CellId cell, uint32_t value)
     {
         insertAt(lookup(cell), cell, value);
-    }
-
-    /**
-     * Bind @p cell only if it has no binding yet (live-in capture).
-     * @retval true when the binding was inserted.
-     */
-    bool
-    setIfAbsent(CellId cell, uint32_t value)
-    {
-        Cursor c = lookup(cell);
-        if (c.found)
-            return false;
-        insertAt(c, cell, value);
-        return true;
     }
 
     /** @return the bound value, if any. */
@@ -141,18 +120,6 @@ class StateDelta
 
     bool contains(CellId cell) const { return lookup(cell).found; }
 
-    /** Remove a binding if present. */
-    void
-    erase(CellId cell)
-    {
-        Cursor c = lookup(cell);
-        if (!c.found)
-            return;
-        slots_[c.index].first = TombKey;
-        ++tombstones_;
-        --size_;
-    }
-
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
@@ -163,7 +130,6 @@ class StateDelta
         for (auto &slot : slots_)
             slot.first = EmptyKey;
         size_ = 0;
-        tombstones_ = 0;
     }
 
     /** Pre-size for @p n bindings. */
@@ -175,7 +141,7 @@ class StateDelta
             rehash(needed);
     }
 
-    /** Forward iterator over live (cell, value) bindings. */
+    /** Forward iterator over the (cell, value) bindings. */
     class const_iterator
     {
       public:
@@ -222,8 +188,7 @@ class StateDelta
         void
         skipDead()
         {
-            while (p_ != end_ &&
-                   (p_->first == EmptyKey || p_->first == TombKey))
+            while (p_ != end_ && p_->first == EmptyKey)
                 ++p_;
         }
 
@@ -292,9 +257,8 @@ class StateDelta
     std::string toString() const;
 
   private:
-    // Sentinels outside the CellId value space (kinds stop at bit 33).
+    // Sentinel outside the CellId value space (kinds stop at bit 33).
     static constexpr CellId EmptyKey = ~CellId{0};
-    static constexpr CellId TombKey = ~CellId{0} - 1;
     static constexpr size_t MinCapacity = 16;
 
     static size_t
@@ -319,18 +283,14 @@ class StateDelta
     bool
     mustGrow() const
     {
-        // Count tombstones against the load so probe chains stay
-        // short; rehashing drops them.
-        return slots_.empty() ||
-               (size_ + tombstones_ + 1) * 4 > slots_.size() * 3;
+        return slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3;
     }
 
     void rehash(size_t new_cap);
     void growAndInsert(CellId cell, uint32_t value);
 
     std::vector<value_type> slots_;   ///< pow-2 sized; EmptyKey = free
-    size_t size_ = 0;        ///< live bindings
-    size_t tombstones_ = 0;  ///< deleted slots awaiting rehash
+    size_t size_ = 0;        ///< bindings
 };
 
 } // namespace mssp

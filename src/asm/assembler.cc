@@ -572,16 +572,4 @@ assemble(const std::string &source)
     return ctx.prog;
 }
 
-Result<Program>
-parseAssembly(const std::string &source)
-{
-    try {
-        return assemble(source);
-    } catch (const FatalError &e) {
-        return Status(StatusCode::ParseError, e.what());
-    } catch (const std::exception &e) {
-        return Status(StatusCode::ParseError, e.what());
-    }
-}
-
 } // namespace mssp

@@ -33,7 +33,6 @@
 #include <string>
 
 #include "asm/program.hh"
-#include "sim/status.hh"
 
 namespace mssp
 {
@@ -47,11 +46,6 @@ namespace mssp
  *         range error
  */
 Program assemble(const std::string &source);
-
-/** Untrusted-input form of assemble(): StatusCode::ParseError with
- *  the assembler's line-numbered message instead of a throw (the
- *  objfile fuzz gate drives this path too). */
-Result<Program> parseAssembly(const std::string &source);
 
 } // namespace mssp
 

@@ -311,28 +311,4 @@ loadDistilled(const std::string &text)
     return dist;
 }
 
-Result<Program>
-parseProgram(const std::string &text)
-{
-    try {
-        return loadProgram(text);
-    } catch (const FatalError &e) {
-        return Status(StatusCode::ParseError, e.what());
-    } catch (const std::exception &e) {
-        return Status(StatusCode::ParseError, e.what());
-    }
-}
-
-Result<DistilledProgram>
-parseDistilled(const std::string &text)
-{
-    try {
-        return loadDistilled(text);
-    } catch (const FatalError &e) {
-        return Status(StatusCode::ParseError, e.what());
-    } catch (const std::exception &e) {
-        return Status(StatusCode::ParseError, e.what());
-    }
-}
-
 } // namespace mssp

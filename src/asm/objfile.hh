@@ -9,16 +9,13 @@
  * report. Used by the CLI tools (tools/) so the assemble / distill /
  * run steps can be separate processes, like a real toolchain.
  *
- * Two API shapes. The throwing loaders (loadProgram/loadDistilled)
- * fatal() with a line number — right for trusted pipeline-internal
- * round trips. The Result-returning parsers (parseProgram/
- * parseDistilled) never throw on malformed input: every outcome is a
- * structured Status (sim/status.hh), which is the contract for
- * *untrusted* bytes — anything read from disk or a socket. All paths
- * are bounds-checked; in particular a hostile `fork` index cannot
- * force a multi-gigabyte task-map allocation (kMaxForkIndex). The
- * seeded mutation fuzzer (tests/test_objfile_fuzz.cpp) drives the
- * Result paths and asserts no crash and no unstructured escape.
+ * The loaders (loadProgram/loadDistilled) are the trust boundary for
+ * bytes read from disk: malformed input throws FatalError with a line
+ * number, which every CLI catches, and nothing else. All paths are
+ * bounds-checked; in particular a hostile `fork` index cannot force a
+ * multi-gigabyte task-map allocation (kMaxForkIndex). The seeded
+ * mutation fuzzer (tests/test_objfile_fuzz.cpp) drives these loaders
+ * and asserts no crash and no rejection other than a FatalError.
  */
 
 #ifndef MSSP_ASM_OBJFILE_HH
@@ -28,7 +25,6 @@
 
 #include "asm/program.hh"
 #include "distill/distiller.hh"
-#include "sim/status.hh"
 
 namespace mssp
 {
@@ -49,13 +45,6 @@ DistilledProgram loadDistilled(const std::string &text);
  *  a few dozen sites) while keeping the task-map allocation a
  *  malformed or hostile index can force bounded. */
 constexpr size_t kMaxForkIndex = 1u << 20;
-
-/** Untrusted-input form of loadProgram: StatusCode::ParseError with
- *  the loader's line-numbered message instead of a throw. */
-Result<Program> parseProgram(const std::string &text);
-
-/** Untrusted-input form of loadDistilled. */
-Result<DistilledProgram> parseDistilled(const std::string &text);
 
 } // namespace mssp
 

@@ -289,14 +289,6 @@ instDefUse(const Instruction &inst, RegMask &def, RegMask &use)
     use &= ~1u;
 }
 
-RegMask
-liveBeforeInst(const Instruction &inst, RegMask live_after)
-{
-    RegMask def, use;
-    instDefUse(inst, def, use);
-    return (live_after & ~def) | use;
-}
-
 // computeLiveness(Cfg) lives in src/analysis/liveness.cc, on the
 // shared dataflow solver.
 

@@ -154,9 +154,6 @@ std::map<uint32_t, BlockLiveness> computeLiveness(const Cfg &cfg);
 /** def/use masks of one instruction (for in-block backward walks). */
 void instDefUse(const Instruction &inst, RegMask &def, RegMask &use);
 
-/** Transfer function: live set before @p inst given the set after. */
-RegMask liveBeforeInst(const Instruction &inst, RegMask live_after);
-
 } // namespace mssp
 
 #endif // MSSP_CFG_CFG_HH

@@ -1,18 +1,11 @@
 #include "eval/crossval.hh"
 
-#include <functional>
 #include <map>
 #include <optional>
 
 #include "analysis/merged_image.hh"
-#include "analysis/verifier.hh"
-#include "asm/assembler.hh"
-#include "core/pipeline.hh"
-#include "eval/experiment.hh"
 #include "exec/seq_machine.hh"
-#include "sim/parallel.hh"
 #include "util/string_utils.hh"
-#include "workloads/workloads.hh"
 
 namespace mssp
 {
@@ -250,135 +243,6 @@ validateSpecSafeDynamic(
     machine.run(max_insts);
     watcher.result.checkedLoads = watcher.checkedLoads();
     return watcher.result;
-}
-
-bool
-CrossValReport::allConsistent() const
-{
-    for (const CrossValRow &r : rows) {
-        if (!r.consistent)
-            return false;
-    }
-    return true;
-}
-
-std::string
-CrossValReport::toText() const
-{
-    Table t({"workload", "ok", "edits", "proven", "risky", "unknown",
-             "sem-err", "div-squash", "loads PI/RI/R", "spec-err",
-             "pi-chg", "plan P/L", "plan-err", "pv-miss", "l-hit",
-             "consistent"});
-    for (const CrossValRow &r : rows) {
-        std::string lhit = "-";
-        if (r.planLikelyObservations) {
-            lhit = strfmt(
-                "%.0f%%",
-                100.0 * static_cast<double>(r.planLikelyHits) /
-                    static_cast<double>(r.planLikelyObservations));
-        }
-        t.addRow({r.name, r.ok ? "yes" : "NO",
-                  strfmt("%zu", r.edits), strfmt("%zu", r.proven),
-                  strfmt("%zu", r.risky), strfmt("%zu", r.unknown),
-                  strfmt("%zu", r.semanticErrors),
-                  strfmt("%llu", static_cast<unsigned long long>(
-                                     r.divergenceSquashes)),
-                  strfmt("%zu/%zu/%zu", r.specProvablyInvariant,
-                         r.specRegionInvariant, r.specRisky),
-                  strfmt("%zu", r.specErrors),
-                  strfmt("%llu", static_cast<unsigned long long>(
-                                     r.provInvariantValueChanges)),
-                  strfmt("%zu/%zu", r.planProven, r.planLikely),
-                  strfmt("%zu", r.planErrors),
-                  strfmt("%llu", static_cast<unsigned long long>(
-                                     r.planProvenMismatches)),
-                  lhit, r.consistent ? "yes" : "NO"});
-    }
-    return t.render("static risk vs. dynamic misspeculation");
-}
-
-CrossValReport
-crossValidate(double scale, const MsspConfig &cfg,
-              uint64_t max_cycles, unsigned jobs)
-{
-    std::vector<Workload> workloads = specAnalogues(scale);
-    std::vector<std::function<CrossValRow()>> work;
-    work.reserve(workloads.size());
-    for (const Workload &wl : workloads) {
-        work.push_back([&wl, &cfg, max_cycles] {
-            CrossValRow row;
-            row.name = wl.name;
-
-            PreparedWorkload prepared =
-                prepare(assemble(wl.refSource),
-                        assemble(wl.trainSource),
-                        DistillerOptions::paperPreset());
-
-            analysis::SemanticResult sem =
-                analysis::verifyDistilledSemantic(prepared.orig,
-                                                  prepared.dist);
-            row.edits = sem.semantic.verdicts.size();
-            row.proven = sem.semantic.proven();
-            row.risky = sem.semantic.risky();
-            row.unknown = sem.semantic.unknown();
-            row.semanticErrors = sem.lint.errors();
-
-            analysis::SpecSafeReport spec =
-                analysis::analyzeSpecSafe(prepared.orig,
-                                          prepared.dist);
-            row.specLoads = spec.loads.size();
-            row.specProvablyInvariant = spec.provablyInvariant();
-            row.specRegionInvariant = spec.regionInvariant();
-            row.specRisky = spec.risky();
-            row.specErrors = spec.lint.errors();
-
-            WorkloadRun run =
-                runPrepared(wl.name, prepared, cfg, max_cycles);
-            row.ok = run.ok;
-            row.divergenceSquashes =
-                run.counters.tasksSquashedLiveIn +
-                run.counters.tasksSquashedWrongPc;
-
-            SpecSafeDynamicResult dyn = validateSpecSafeDynamic(
-                prepared.orig, prepared.dist, spec.loads);
-            row.provInvariantValueChanges = dyn.valueChanges;
-
-            analysis::SpecPlanReport plan =
-                analysis::analyzeSpecPlan(prepared.orig,
-                                          prepared.dist);
-            row.planCandidates = plan.candidates.size();
-            row.planProven = plan.proven();
-            row.planLikely = plan.likely();
-            row.planErrors = plan.lint.errors();
-
-            SpecPlanDynamicResult pdyn = validateSpecPlanDynamic(
-                prepared.orig, prepared.dist, plan.candidates);
-            row.planProvenMismatches = pdyn.provenMismatches;
-            row.planLikelyObservations = pdyn.likelyObservations;
-            row.planLikelyHits = pdyn.likelyHits;
-
-            // The validator's claim is one-directional: a workload
-            // whose edits are all Proven must not squash on
-            // divergence. The converse (risky edits must squash) does
-            // not hold — static analysis over-approximates dynamic
-            // behaviour. The specsafe claim is absolute: a
-            // ProvablyInvariant load that changed value means the
-            // alias analysis is wrong, full stop. So is the plan's:
-            // a Proven candidate reading anything but its predicted
-            // value means the value-flow analysis is wrong.
-            bool all_proven = row.proven == row.edits;
-            row.consistent =
-                run.ok && (!all_proven || row.divergenceSquashes == 0)
-                && row.specErrors == 0
-                && row.provInvariantValueChanges == 0
-                && row.planErrors == 0
-                && row.planProvenMismatches == 0;
-            return row;
-        });
-    }
-    CrossValReport rep;
-    rep.rows = runSharded<CrossValRow>(jobs, std::move(work));
-    return rep;
 }
 
 } // namespace mssp

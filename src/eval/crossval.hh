@@ -1,15 +1,15 @@
 /**
  * @file
- * Static-risk vs. dynamic-misspeculation cross-validation.
+ * Dynamic replays behind the suite's cross-validation gates
+ * (eval/suite.hh, stage crossval).
  *
  * The semantic translation validator (analysis/verifier.hh) makes a
  * falsifiable claim per workload: if *every* distiller edit is
  * Proven, no task may ever squash on live-in divergence or a wrong
- * predicted PC. This harness runs each registry workload through the
- * full MSSP machine and correlates the static risk classes with the
- * dynamic divergence-squash counters — a Proven-only workload with
- * divergence squashes falsifies the abstract interpreter (that is
- * the cross-validation gate in tests/test_crossval.cpp).
+ * predicted PC. runSuite() checks it against the MSSP run's
+ * divergence-squash counters; a Proven-only workload with divergence
+ * squashes falsifies the abstract interpreter (the gate in
+ * tests/test_crossval.cpp runs runSuite itself).
  *
  * The speculation-safety classifier (analysis/specsafe.hh) makes a
  * second falsifiable claim: a load classified ProvablyInvariant must
@@ -25,6 +25,8 @@
  * value against the plan's prediction — a single Proven mismatch
  * falsifies the value-flow analysis and fails the gate; Likely
  * candidates only accumulate an observed hit rate.
+ * validateSpecEditsDynamic() holds a speculated image's baked
+ * constants to a SEQ replay of the original program the same way.
  */
 
 #ifndef MSSP_EVAL_CROSSVAL_HH
@@ -36,56 +38,9 @@
 
 #include "analysis/specplan.hh"
 #include "analysis/specsafe.hh"
-#include "mssp/config.hh"
 
 namespace mssp
 {
-
-/** One workload's static risk profile vs. dynamic behaviour. */
-struct CrossValRow
-{
-    std::string name;
-    bool ok = false;            ///< run halted + output-equivalent
-
-    size_t edits = 0;
-    size_t proven = 0;
-    size_t risky = 0;
-    size_t unknown = 0;
-    size_t semanticErrors = 0;  ///< error-severity semantic findings
-
-    /** Squashes attributable to distillation divergence (live-in
-     *  mismatch + wrong fork PC), not capacity effects. */
-    uint64_t divergenceSquashes = 0;
-
-    // Speculation-safety load classification (analysis/specsafe.hh)
-    size_t specLoads = 0;
-    size_t specProvablyInvariant = 0;
-    size_t specRegionInvariant = 0;
-    size_t specRisky = 0;
-    size_t specErrors = 0;  ///< metadata-validation findings (errors)
-    /** Dynamic value changes observed at ProvablyInvariant loads.
-     *  Any nonzero count falsifies the alias analysis. */
-    uint64_t provInvariantValueChanges = 0;
-
-    // Speculation-plan value prediction (analysis/specplan.hh)
-    size_t planCandidates = 0;
-    size_t planProven = 0;
-    size_t planLikely = 0;
-    size_t planErrors = 0;  ///< plan-metadata findings (errors)
-    /** Observed values at Proven candidates that differed from the
-     *  prediction. Any nonzero count falsifies the value-flow
-     *  analysis. */
-    uint64_t planProvenMismatches = 0;
-    uint64_t planLikelyObservations = 0;
-    uint64_t planLikelyHits = 0;  ///< observed == predicted
-
-    /** The falsifiable claims: all-proven implies zero divergence
-     *  squashes, ProvablyInvariant loads never change value, and
-     *  Proven plan candidates always read the predicted value.
-     *  (Risky/unknown edits do not *require* squashes — static
-     *  analysis over-approximates; Likely candidates may miss.) */
-    bool consistent = false;
-};
 
 /** What validateSpecSafeDynamic() observed. */
 struct SpecSafeDynamicResult
@@ -165,28 +120,6 @@ struct SpecEditDynamicResult
 SpecEditDynamicResult validateSpecEditsDynamic(
     const Program &orig, const DistilledProgram &dist,
     uint64_t max_insts = 20000000ull);
-
-/** Cross-validation over a workload set. */
-struct CrossValReport
-{
-    std::vector<CrossValRow> rows;
-
-    bool allConsistent() const;
-
-    /** Aligned table, one row per workload. */
-    std::string toText() const;
-};
-
-/**
- * Run the cross-validation over all registry workloads at @p scale
- * (1.0 = paper-size inputs), using the paper-preset distiller.
- * Workloads shard across @p jobs host threads (sim/parallel.hh);
- * rows always come back in registry order, so the report is
- * identical for any job count.
- */
-CrossValReport crossValidate(double scale, const MsspConfig &cfg,
-                             uint64_t max_cycles = 400000000ull,
-                             unsigned jobs = 1);
 
 } // namespace mssp
 

@@ -30,7 +30,7 @@
  *
  * Both phases run each job once through runSupervised()
  * (sim/supervisor.hh): a job that throws is quarantined — its
- * structured Status lands in the report — and every healthy result
+ * exception text lands in the report — and every healthy result
  * still merges.
  *
  * The report is one deterministic JSON document (schema

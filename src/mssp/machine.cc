@@ -202,6 +202,13 @@ MsspMachine::squash(TaskOutcome reason)
     if (window_.size() > 1)
         ctrs_.tasksSquashedCascade += window_.size() - 1;
 
+    dropSpeculation();
+    noteEngageFailure();
+}
+
+void
+MsspMachine::dropSpeculation()
+{
     for (auto &slave : slaves_) {
         slave.release();
         slave.invalidateL1();   // speculative lines are discarded
@@ -214,8 +221,6 @@ MsspMachine::squash(TaskOutcome reason)
     arrived_.clear();
     spawn_queue_.clear();
     master_.stop();
-
-    noteEngageFailure();
     mode_ = Mode::Restarting;
     restart_at_ = now_ + cfg_.squashPenalty;
     last_commit_cycle_ = now_;
@@ -224,21 +229,7 @@ MsspMachine::squash(TaskOutcome reason)
 void
 MsspMachine::serializeSpeculation()
 {
-    for (auto &slave : slaves_) {
-        slave.release();
-        slave.invalidateL1();
-    }
-    for (auto &task : window_) {
-        ctrs_.wastedSlaveInsts += task->instCount;
-        recycleTask(std::move(task));
-    }
-    window_.clear();
-    arrived_.clear();
-    spawn_queue_.clear();
-    master_.stop();
-    mode_ = Mode::Restarting;
-    restart_at_ = now_ + cfg_.squashPenalty;
-    last_commit_cycle_ = now_;
+    dropSpeculation();
     // The device access itself must execute sequentially before the
     // master may be re-engaged (it could sit exactly at a fork site).
     force_seq_insts_ = 1;

@@ -292,6 +292,11 @@ class MsspMachine
     std::unique_ptr<Task> allocTask();
     /** Return a retired task shell to the pool. */
     void recycleTask(std::unique_ptr<Task> task);
+    /** Discard every speculative task (slaves released, L1s
+     *  invalidated, work counted as wasted), stop the master and
+     *  restart after the squash penalty. Shared by squash() and
+     *  serializeSpeculation(). */
+    void dropSpeculation();
     /** Drop speculative state to serialize a device access; unlike
      *  squash(), this is planned work, not a failure. */
     void serializeSpeculation();

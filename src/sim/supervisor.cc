@@ -5,15 +5,15 @@
 namespace mssp
 {
 
-Status
+std::string
 jobFailure(const std::exception_ptr &error)
 {
     try {
         std::rethrow_exception(error);
     } catch (const std::exception &e) {
-        return Status(StatusCode::JobFailed, e.what());
+        return e.what();
     } catch (...) {
-        return Status(StatusCode::JobFailed, "unknown exception");
+        return "unknown exception";
     }
 }
 
@@ -25,10 +25,9 @@ QuarantineReport::toJson() const
         const QuarantineEntry &e = entries[i];
         out += strfmt(
             "%s{\"index\": %zu, \"label\": \"%s\", "
-            "\"status\": \"%s\", \"message\": \"%s\"}",
+            "\"status\": \"job-failed\", \"message\": \"%s\"}",
             i ? ", " : "", e.jobIndex, jsonEscape(e.label).c_str(),
-            toString(e.status.code()),
-            jsonEscape(e.status.message()).c_str());
+            jsonEscape(e.message).c_str());
     }
     out += "]";
     return out;
@@ -39,8 +38,9 @@ QuarantineReport::summary() const
 {
     std::string s;
     for (const QuarantineEntry &e : entries) {
-        s += strfmt("  quarantined [%zu] %-24s %s\n", e.jobIndex,
-                    e.label.c_str(), e.status.toString().c_str());
+        s += strfmt("  quarantined [%zu] %-24s job-failed%s%s\n",
+                    e.jobIndex, e.label.c_str(),
+                    e.message.empty() ? "" : ": ", e.message.c_str());
     }
     return s;
 }

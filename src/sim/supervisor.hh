@@ -4,10 +4,11 @@
  * sweep or hide the other failures.
  *
  * runSupervised() runs every job once on sim/parallel.hh's
- * forEachIndex and turns whatever a job throws into a job-failed
- * Status. A job that throws is *quarantined*: it lands in a
- * QuarantineReport with its canonical index, label and status, and
- * every healthy result still comes back in canonical order.
+ * forEachIndex and turns whatever a job throws into a message. A job
+ * that throws is *quarantined*: it lands in a QuarantineReport with
+ * its canonical index, label and message (reported with the fixed
+ * status "job-failed"), and every healthy result still comes back in
+ * canonical order.
  * Everything is keyed on job indices, so reports are byte-identical
  * for --jobs N vs --jobs 1.
  *
@@ -24,18 +25,21 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "sim/status.hh"
 
 namespace mssp
 {
 
-/** One quarantined job: which one and why. */
+/** One quarantined job: which one and why. Messages must be
+ *  deterministic for deterministic inputs (no pointers, times or host
+ *  state): the JSON reports embed them verbatim and CI byte-diffs
+ *  them. */
 struct QuarantineEntry
 {
     size_t jobIndex = 0;
     std::string label;
-    Status status;
+    std::string message;   ///< the exception's what()
 };
 
 /** Every failed job of a sweep, in canonical job order. */
@@ -62,9 +66,9 @@ struct SupervisedResult
     QuarantineReport quarantine;
 };
 
-/** JobFailed with the exception's what() ("unknown exception" for a
- *  thrown non-std::exception). @p error must be non-null. */
-Status jobFailure(const std::exception_ptr &error);
+/** The exception's what() ("unknown exception" for a thrown
+ *  non-std::exception). @p error must be non-null. */
+std::string jobFailure(const std::exception_ptr &error);
 
 /**
  * Run each of @p work once across @p jobs host threads

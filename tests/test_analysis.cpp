@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the dataflow analysis framework (src/analysis/):
- * dominators, SCCs, the generic solver (including convergence on
+ * SCCs, the generic solver (including convergence on
  * looping and irreducible graphs) and liveness.
  */
 
@@ -18,18 +18,6 @@ using namespace mssp::analysis;
 
 namespace
 {
-
-FlowGraph
-diamond()
-{
-    // 0 -> 1 -> 3, 0 -> 2 -> 3
-    FlowGraph g(4);
-    g.addEdge(0, 1);
-    g.addEdge(0, 2);
-    g.addEdge(1, 3);
-    g.addEdge(2, 3);
-    return g;
-}
 
 FlowGraph
 loopGraph()
@@ -58,57 +46,6 @@ irreducible()
 }
 
 } // anonymous namespace
-
-TEST(Dominators, Diamond)
-{
-    FlowGraph g = diamond();
-    std::vector<int> idom = computeIdom(g);
-    EXPECT_EQ(idom[0], 0);
-    EXPECT_EQ(idom[1], 0);
-    EXPECT_EQ(idom[2], 0);
-    EXPECT_EQ(idom[3], 0);   // neither arm dominates the join
-
-    DomTree dt(g);
-    EXPECT_TRUE(dt.dominates(0, 3));
-    EXPECT_FALSE(dt.dominates(1, 3));
-    EXPECT_FALSE(dt.dominates(2, 3));
-    EXPECT_TRUE(dt.dominates(1, 1));
-}
-
-TEST(Dominators, Loop)
-{
-    FlowGraph g = loopGraph();
-    std::vector<int> idom = computeIdom(g);
-    EXPECT_EQ(idom[1], 0);
-    EXPECT_EQ(idom[2], 1);
-    EXPECT_EQ(idom[3], 2);
-
-    DomTree dt(g);
-    EXPECT_TRUE(dt.dominates(1, 3));
-    EXPECT_TRUE(dt.dominates(2, 3));
-    EXPECT_FALSE(dt.dominates(3, 2));
-}
-
-TEST(Dominators, IrreducibleJoinFallsToEntry)
-{
-    FlowGraph g = irreducible();
-    std::vector<int> idom = computeIdom(g);
-    // Both loop entries are reachable around each other: only the
-    // graph entry dominates them.
-    EXPECT_EQ(idom[1], 0);
-    EXPECT_EQ(idom[2], 0);
-    EXPECT_EQ(idom[3], 1);
-}
-
-TEST(Dominators, UnreachableNode)
-{
-    FlowGraph g(3);
-    g.addEdge(0, 1);   // node 2 is disconnected
-    DomTree dt(g);
-    EXPECT_TRUE(dt.reachable(1));
-    EXPECT_FALSE(dt.reachable(2));
-    EXPECT_EQ(computeIdom(g)[2], -1);
-}
 
 TEST(Sccs, LoopsAndSelfEdges)
 {

@@ -176,14 +176,22 @@ TEST(Liveness, IndirectJumpKeepsAllLive)
 
 TEST(Liveness, TransferFunction)
 {
-    RegMask after = (1u << reg::T0) | (1u << reg::A0);
-    // t0 = a1 + a2 : kills t0, gens a1,a2
-    RegMask before = liveBeforeInst(
-        makeR(Opcode::Add, reg::T0, reg::A1, reg::A2), after);
-    EXPECT_FALSE(before & (1u << reg::T0));
-    EXPECT_TRUE(before & (1u << reg::A1));
-    EXPECT_TRUE(before & (1u << reg::A2));
-    EXPECT_TRUE(before & (1u << reg::A0));
+    // t0 = a1 + a2 : kills t0, gens a1,a2 (the def/use masks every
+    // in-block backward walk applies as (after & ~def) | use)
+    RegMask def, use;
+    instDefUse(makeR(Opcode::Add, reg::T0, reg::A1, reg::A2), def, use);
+    EXPECT_EQ(def, 1u << reg::T0);
+    EXPECT_EQ(use, (1u << reg::A1) | (1u << reg::A2));
+
+    // A branch reads both operands and defines nothing; r0 is neither
+    // defined nor used.
+    instDefUse(makeB(Opcode::Beq, reg::A0, reg::T1, 4), def, use);
+    EXPECT_EQ(def, 0u);
+    EXPECT_EQ(use, (1u << reg::A0) | (1u << reg::T1));
+    instDefUse(makeR(Opcode::Add, reg::Zero, reg::Zero, reg::A0), def,
+               use);
+    EXPECT_EQ(def, 0u);
+    EXPECT_EQ(use, 1u << reg::A0);
 }
 
 } // anonymous namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "asm/assembler.hh"
 #include "core/pipeline.hh"
 #include "mssp/master.hh"
@@ -321,15 +323,13 @@ TEST(Master, CheckpointEditsStayInTheCopy)
     EXPECT_FALSE(copy.get(makeMemCell(0x8000)));
 
     // flatten() and nth() agree with a model edited the same way.
-    StateDelta model;
-    for (const auto &[cell, value] : before)
-        model.set(cell, value);
-    model.set(fresh, 1);
-    model.set(buf0, *orig.get(buf0) ^ 4);
+    std::map<CellId, uint32_t> model(before.begin(), before.end());
+    model[fresh] = 1;
+    model[buf0] = *orig.get(buf0) ^ 4;
     model.erase(makeRegCell(reg::S0));
-    model.set(makeRegCell(reg::T6), 9);
+    model[makeRegCell(reg::T6)] = 9;
     model.erase(makeMemCell(0x8000));
-    std::vector<StateDelta::value_type> want = model.sorted();
+    std::vector<StateDelta::value_type> want(model.begin(), model.end());
     EXPECT_EQ(copy.flatten(), want);
     for (size_t k = 0; k < want.size(); ++k)
         EXPECT_EQ(copy.nth(k), want[k]) << k;

@@ -1,15 +1,15 @@
 /**
  * @file
- * Seeded mutation fuzz gate for the untrusted-input parse paths
- * (asm/objfile.hh parseProgram/parseDistilled, asm/assembler.hh
- * parseAssembly).
+ * Seeded mutation fuzz gate for the loaders every CLI calls on
+ * untrusted bytes (asm/objfile.hh loadProgram/loadDistilled,
+ * asm/assembler.hh assemble).
  *
  * Starts from valid corpora — an assembled source file, a saved
  * Program object, a saved DistilledProgram object — and applies
  * seeded byte mutations (flips, overwrites, slice deletion and
- * duplication, truncation, insertion). Every mutant must produce a
- * structured outcome: either a parsed value or StatusCode::ParseError.
- * No crash, no unstructured exception escape, no unbounded
+ * duplication, truncation, insertion). Every mutant must either load
+ * or be rejected with a FatalError, the one exception the CLIs catch
+ * and report. No crash, no other exception type, no unbounded
  * allocation (the fork-index cap is load-bearing here).
  *
  * Runs 300 seeds per corpus by default; the CI ASan leg and the
@@ -26,6 +26,7 @@
 #include "asm/objfile.hh"
 #include "core/pipeline.hh"
 #include "helpers.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace mssp
@@ -117,47 +118,50 @@ corpus()
     return c;
 }
 
+/**
+ * Feed fuzzIters() mutants of @p text to @p load. A FatalError is the
+ * expected rejection; any other std::exception fails the test with
+ * its seed (anything else escapes to gtest and fails it too).
+ */
+template <typename Load>
+void
+fuzzLoader(const std::string &text, Load load)
+{
+    for (uint64_t seed = 0; seed < fuzzIters(); ++seed) {
+        std::string mutant = mutate(text, seed);
+        try {
+            load(mutant);
+        } catch (const FatalError &) {
+            // rejected with a line-numbered message: the contract
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "seed " << seed << ": " << e.what();
+        }
+    }
+}
+
 TEST(ObjFileFuzz, ValidCorpusParses)
 {
-    EXPECT_TRUE(parseAssembly(corpus().source).ok());
-    EXPECT_TRUE(parseProgram(corpus().object).ok());
-    EXPECT_TRUE(parseDistilled(corpus().distilled).ok());
+    EXPECT_NO_THROW(assemble(corpus().source));
+    EXPECT_NO_THROW(loadProgram(corpus().object));
+    EXPECT_NO_THROW(loadDistilled(corpus().distilled));
 }
 
 TEST(ObjFileFuzz, MutatedProgramObjectNeverEscapes)
 {
-    for (uint64_t seed = 0; seed < fuzzIters(); ++seed) {
-        std::string mutant = mutate(corpus().object, seed);
-        Result<Program> r = parseProgram(mutant);
-        if (!r.ok()) {
-            EXPECT_EQ(r.status().code(), StatusCode::ParseError)
-                << "seed " << seed;
-        }
-    }
+    fuzzLoader(corpus().object,
+               [](const std::string &t) { loadProgram(t); });
 }
 
 TEST(ObjFileFuzz, MutatedDistilledObjectNeverEscapes)
 {
-    for (uint64_t seed = 0; seed < fuzzIters(); ++seed) {
-        std::string mutant = mutate(corpus().distilled, seed);
-        Result<DistilledProgram> r = parseDistilled(mutant);
-        if (!r.ok()) {
-            EXPECT_EQ(r.status().code(), StatusCode::ParseError)
-                << "seed " << seed;
-        }
-    }
+    fuzzLoader(corpus().distilled,
+               [](const std::string &t) { loadDistilled(t); });
 }
 
 TEST(ObjFileFuzz, MutatedAssemblyNeverEscapes)
 {
-    for (uint64_t seed = 0; seed < fuzzIters(); ++seed) {
-        std::string mutant = mutate(corpus().source, seed);
-        Result<Program> r = parseAssembly(mutant);
-        if (!r.ok()) {
-            EXPECT_EQ(r.status().code(), StatusCode::ParseError)
-                << "seed " << seed;
-        }
-    }
+    fuzzLoader(corpus().source,
+               [](const std::string &t) { assemble(t); });
 }
 
 TEST(ObjFileFuzz, HostileForkIndexIsBounded)
@@ -167,11 +171,14 @@ TEST(ObjFileFuzz, HostileForkIndexIsBounded)
     std::string evil = "mssp-distilled v5\n"
                        "entry 0x1000\n"
                        "fork 4294967295 0x1000 1\n";
-    Result<DistilledProgram> r = parseDistilled(evil);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::ParseError);
-    EXPECT_NE(r.status().message().find("fork index"),
-              std::string::npos);
+    try {
+        loadDistilled(evil);
+        ADD_FAILURE() << "hostile fork index accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("fork index"),
+                  std::string::npos)
+            << e.what();
+    }
 
     // At the cap itself the loader accepts (bounded, ~8 MiB worst
     // case) — the cap is a ceiling, not a tripwire.
@@ -179,7 +186,7 @@ TEST(ObjFileFuzz, HostileForkIndexIsBounded)
                               "entry 0x1000\n"
                               "fork %zu 0x1000 1\n",
                               kMaxForkIndex);
-    EXPECT_TRUE(parseDistilled(edge).ok());
+    EXPECT_NO_THROW(loadDistilled(edge));
 }
 
 } // anonymous namespace

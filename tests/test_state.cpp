@@ -56,14 +56,6 @@ TEST(StateDelta, SetGetContains)
     EXPECT_EQ(d.size(), 1u);
 }
 
-TEST(StateDelta, SetIfAbsentKeepsFirstBinding)
-{
-    StateDelta d;
-    d.setIfAbsent(makeMemCell(8), 1);
-    d.setIfAbsent(makeMemCell(8), 2);
-    EXPECT_EQ(d.get(makeMemCell(8)).value(), 1u);
-}
-
 TEST(StateDelta, SuperimposeOverwrites)
 {
     StateDelta a, b;
@@ -118,9 +110,9 @@ randomCell(Rng &rng)
 }
 
 // Model-based property test of the open-addressing flat map: a long
-// random op sequence (set / setIfAbsent / erase / clear / grow) must
-// agree with std::unordered_map at every point, across rehashes and
-// tombstone reuse.
+// random op sequence (set / first-binding capture through a
+// lookup cursor / get / clear / grow) must agree with
+// std::unordered_map at every point, across rehashes.
 TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
 {
     Rng rng(0xfeedu);
@@ -130,23 +122,26 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
     for (int step = 0; step < 20000; ++step) {
         CellId cell = randomCell(rng);
         auto value = static_cast<uint32_t>(rng.next());
-        switch (rng.below(6)) {
+        switch (rng.below(5)) {
           case 0:
           case 1:
             d.set(cell, value);
             model[cell] = value;
             break;
           case 2: {
-            bool inserted = d.setIfAbsent(cell, value);
+            // The slave's live-in capture: probe once, bind at the
+            // cursor only when the cell has no binding yet.
+            StateDelta::Cursor c = d.lookup(cell);
+            if (c.found) {
+                ASSERT_EQ(d.valueAt(c), model.at(cell));
+            } else {
+                d.insertAt(c, cell, value);
+            }
             bool model_inserted = model.emplace(cell, value).second;
-            ASSERT_EQ(inserted, model_inserted);
+            ASSERT_EQ(!c.found, model_inserted);
             break;
           }
-          case 3:
-            d.erase(cell);
-            model.erase(cell);
-            break;
-          case 4: {
+          case 3: {
             auto got = d.get(cell);
             auto it = model.find(cell);
             ASSERT_EQ(got.has_value(), it != model.end());
@@ -165,7 +160,7 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
         ASSERT_EQ(d.size(), model.size());
     }
 
-    // Iteration visits exactly the live entries.
+    // Iteration visits exactly the bound entries.
     size_t seen = 0;
     for (const auto &[cell, value] : d) {
         auto it = model.find(cell);
@@ -178,8 +173,8 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
 
 // The algebraic laws the commit unit relies on (the randomized law
 // suite lives in test_formal_properties.cpp; this instance targets
-// flat-map internals: collisions, growth, tombstones).
-TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndTombstones)
+// flat-map internals: collisions and growth).
+TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndGrowth)
 {
     Rng rng(0x5eedu);
     for (int trial = 0; trial < 200; ++trial) {
@@ -195,13 +190,6 @@ TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndTombstones)
             b.set(cb, vb);
             mb[cb] = vb;
         }
-        // Churn: erase some of a's cells again (leaves tombstones).
-        for (int i = 0; i < 20; ++i) {
-            CellId c = randomCell(rng);
-            a.erase(c);
-            ma.erase(c);
-        }
-
         // superimposed(a, b): b's bindings win, a's fill the rest.
         StateDelta c = StateDelta::superimposed(a, b);
         for (const auto &[cell, value] : mb)

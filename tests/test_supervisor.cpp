@@ -59,13 +59,11 @@ TEST(Quarantine, CollectsEveryFailure)
         const std::vector<QuarantineEntry> &q = r->quarantine.entries;
         EXPECT_EQ(q[0].jobIndex, 1u);
         EXPECT_EQ(q[0].label, "b");
-        EXPECT_EQ(q[0].status.code(), StatusCode::JobFailed);
-        EXPECT_EQ(q[0].status.message(), "job one is broken");
+        EXPECT_EQ(q[0].message, "job one is broken");
         EXPECT_EQ(q[1].label, "d");
-        EXPECT_EQ(q[1].status.code(), StatusCode::JobFailed);
-        EXPECT_EQ(q[1].status.message(), "job \"three\"\n");
+        EXPECT_EQ(q[1].message, "job \"three\"\n");
         EXPECT_EQ(q[2].label, "job 4");   // past the label list
-        EXPECT_EQ(q[2].status.message(), "unknown exception");
+        EXPECT_EQ(q[2].message, "unknown exception");
     }
 
     // The byte-determinism contract: --jobs N == --jobs 1.
@@ -78,6 +76,9 @@ TEST(Quarantine, CollectsEveryFailure)
               "\"job \\\"three\\\"\\u000a\"}, "
               "{\"index\": 4, \"label\": \"job 4\", \"status\": "
               "\"job-failed\", \"message\": \"unknown exception\"}]");
+    EXPECT_NE(serial.quarantine.summary().find(
+                  "job-failed: job one is broken"),
+              std::string::npos);
 }
 
 TEST(Quarantine, EachJobRunsOnceAcrossShardCounts)

@@ -4,12 +4,17 @@
 #   tools/identity.sh PARENT_BUILD CHANGE_BUILD [SCALE]
 #
 # PARENT_BUILD and CHANGE_BUILD are cmake build directories (each with
-# tools/mssp-suite and tools/mssp-faultcamp built). Runs every
-# deterministic CLI output in both and compares them byte for byte:
+# tools/mssp-suite, tools/mssp-faultcamp and tools/mssp-lint built).
+# Runs every deterministic CLI output in both and compares them byte
+# for byte:
 #
 #   mssp-suite --json                           at --jobs 1 and --jobs 4
 #   mssp-faultcamp --intensities 1,10 --json    at --jobs 1 and --jobs 4
 #   mssp-faultcamp --intensities 1,10 --epoch-stats
+#   mssp-lint --workload W --semantic --report=json, stdout and exit
+#     code, for every workload the parent's suite JSON lists (the
+#     suite keeps only finding counts; exit 0/1/2 are lint results,
+#     anything else is a failed run)
 #
 # Within each build, the --jobs 4 outputs must also equal the --jobs 1
 # outputs (the sharding contract, DESIGN.md §10). SCALE defaults to
@@ -27,7 +32,7 @@ parent=$1
 change=$2
 scale=${3:-1.0}
 for b in "$parent" "$change"; do
-    for t in mssp-suite mssp-faultcamp; do
+    for t in mssp-suite mssp-faultcamp mssp-lint; do
         if [[ ! -x "$b/tools/$t" ]]; then
             echo "identity.sh: $b/tools/$t not built" >&2
             exit 2
@@ -65,6 +70,32 @@ for side in parent change; do
     done
 done
 
+# The workload list of the parent's suite document (its first
+# "workloads" array; the campaign's comes later).
+workloads=$(sed -n 's/.*"workloads": \[\([^]]*\)\].*/\1/p' \
+    "$out/parent.suite.j1.json" 2>/dev/null | head -1 | tr -d '",')
+if [[ -z $workloads ]]; then
+    echo "identity.sh: no workload list in the parent suite JSON" >&2
+    status=1
+fi
+for side in parent change; do
+    build=$parent
+    [[ $side == change ]] && build=$change
+    for w in $workloads; do
+        f=$out/$side.lint.$w.json
+        "$build/tools/mssp-lint" --workload "$w" --scale "$scale" \
+            --semantic --report=json >"$f" 2>"$out/$side.err"
+        rc=$?
+        echo "exit $rc" >>"$f"
+        if ((rc > 2)); then
+            echo "identity.sh: $side: mssp-lint --workload $w" \
+                "failed (exit $rc):" >&2
+            tail -5 "$out/$side.err" >&2
+            status=1
+        fi
+    done
+done
+
 same() {
     if cmp -s "$1" "$2"; then
         echo "  same    $3"
@@ -77,6 +108,10 @@ same() {
 echo "== compare"
 for f in suite.j1 suite.j4 faultcamp.j1 faultcamp.j4 epochs.j1 epochs.j4; do
     same "$out/parent.$f.json" "$out/change.$f.json" "$f: parent vs change"
+done
+for w in $workloads; do
+    same "$out/parent.lint.$w.json" "$out/change.lint.$w.json" \
+        "lint $w: parent vs change"
 done
 for side in parent change; do
     for f in suite faultcamp epochs; do
