@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
 #include "sim/logging.hh"
 #include "util/string_utils.hh"
@@ -90,18 +88,6 @@ benefitOf(const LoadValueFact &f, const DistilledProgram &dist,
 
 } // anonymous namespace
 
-SpecPlanEntry
-SpecPlanCandidate::toEntry() const
-{
-    SpecPlanEntry e;
-    e.pc = pc;
-    e.proof = proof;
-    e.value = value;
-    e.benefitMicro = benefitMicro;
-    e.feasible = feasible;
-    return e;
-}
-
 size_t
 SpecPlanReport::proven() const
 {
@@ -159,72 +145,6 @@ analyzeSpecPlan(const Program &orig, const DistilledProgram &dist)
     SpecPlanReport rep;
     rep.candidates = planSpeculation(dist, vf);
     rep.loadsConsidered = vf.loadsConsidered;
-
-    auto addFinding = [&rep](LintCheck check, uint32_t pc,
-                             std::string message) {
-        Finding f;
-        f.severity = Severity::Error;
-        f.check = check;
-        f.pc = pc;
-        f.message = std::move(message);
-        rep.lint.findings.push_back(std::move(f));
-    };
-
-    std::map<uint32_t, const SpecPlanCandidate *> byPc;
-    for (const SpecPlanCandidate &c : rep.candidates)
-        byPc[c.pc] = &c;
-
-    for (const SpecPlanEntry &e : dist.specPlan) {
-        auto it = byPc.find(e.pc);
-        if (it == byPc.end()) {
-            addFinding(LintCheck::SpecPlanCoverage, e.pc,
-                       strfmt("image plans speculation of the load "
-                              "at 0x%x, but recomputation yields no "
-                              "candidate there (stale metadata)",
-                              e.pc));
-            continue;
-        }
-        const SpecPlanCandidate &c = *it->second;
-        if (e != c.toEntry()) {
-            addFinding(LintCheck::SpecPlanMismatch, e.pc,
-                       strfmt("image plans %s value 0x%x (benefit "
-                              "%s) for the load at 0x%x, "
-                              "recomputation yields %s value 0x%x "
-                              "(benefit %s)",
-                              valueProofName(e.proof), e.value,
-                              fmtBenefit(e.benefitMicro).c_str(),
-                              e.pc, valueProofName(c.proof), c.value,
-                              fmtBenefit(c.benefitMicro).c_str()));
-        }
-    }
-    std::set<uint32_t> persisted;
-    for (const SpecPlanEntry &e : dist.specPlan)
-        persisted.insert(e.pc);
-    for (const SpecPlanCandidate &c : rep.candidates) {
-        if (!persisted.count(c.pc)) {
-            addFinding(LintCheck::SpecPlanCoverage, c.pc,
-                       strfmt("plan candidate at 0x%x is missing "
-                              "from the persisted plan",
-                              c.pc));
-        }
-    }
-    // With the PC sets agreeing, the persisted order must be the
-    // recomputed rank order (the runtime consumes it as a priority
-    // list).
-    if (rep.lint.findings.empty() &&
-        dist.specPlan.size() == rep.candidates.size()) {
-        for (size_t i = 0; i < dist.specPlan.size(); ++i) {
-            if (dist.specPlan[i].pc != rep.candidates[i].pc) {
-                addFinding(LintCheck::SpecPlanMismatch,
-                           dist.specPlan[i].pc,
-                           strfmt("persisted plan rank %zu names "
-                                  "0x%x, recomputed rank names 0x%x",
-                                  i, dist.specPlan[i].pc,
-                                  rep.candidates[i].pc));
-                break;
-            }
-        }
-    }
     return rep;
 }
 

@@ -17,18 +17,16 @@
  *    already likely to squash devalues any speculation inside it.
  *
  * The score is computed in IEEE doubles from small integers and
- * persisted as a micro-unit integer (benefitMicro), so reports and
- * `.mdo` files are byte-deterministic. Candidates rank by descending
- * benefit, PC ascending on ties.
+ * kept as a micro-unit integer (benefitMicro), so reports and the
+ * `specedit` lines baked from the plan are byte-deterministic.
+ * Candidates rank by descending benefit, PC ascending on ties.
  *
- * The plan ships four ways: this library API (the ROADMAP-3 value-
- * speculating distiller consumes it directly), per-candidate
- * `specplan` lines in the .mdo (format v4), `mssp-lint --plan`
- * (text + versioned `mssp-specplan-v1` JSON), and dynamic
- * falsification in eval/crossval (SEQ replay counts per-candidate
- * mismatches; a Proven mismatch fails the gate). analyzeSpecPlan()
- * additionally validates persisted plan metadata against the
- * recomputation, mirroring analyzeSpecSafe().
+ * The plan ships three ways: this library API (the value-speculating
+ * distiller, distill/speculate.cc, plans its base image with it),
+ * `mssp-lint --plan` (text + versioned `mssp-specplan-v1` JSON), and
+ * dynamic falsification in eval/crossval (SEQ replay counts
+ * per-candidate mismatches; a Proven mismatch fails the gate). The
+ * plan is computed on demand and never persisted.
  */
 
 #ifndef MSSP_ANALYSIS_SPECPLAN_HH
@@ -60,9 +58,6 @@ struct SpecPlanCandidate
     /** Fork regions the load executes in (analysis/alias.hh). */
     RegionMask regions = RegionEntry;
     std::string detail;    ///< proof sketch / counterexample
-
-    /** The persisted form of this candidate. */
-    SpecPlanEntry toEntry() const;
 };
 
 /** The full planning result for one workload/image. */
@@ -74,8 +69,9 @@ struct SpecPlanReport
     /** Loads the value-flow pass considered (coverage denominator). */
     size_t loadsConsidered = 0;
 
-    /** Metadata-validation findings (specplan-mismatch /
-     *  specplan-coverage; empty when the image agrees). */
+    /** Always empty: nothing is persisted to validate any more. Kept
+     *  because the frozen benchmark reads lint.errors() and the JSON
+     *  embeds it; both go with the value-speculation deletion. */
     LintReport lint;
 
     size_t proven() const;
@@ -91,17 +87,16 @@ struct SpecPlanReport
 
 /**
  * Rank the forwarding facts of @p vf, the value-flow result of
- * @p dist's merged image, into the speculation plan (pure
- * recomputation; ignores dist.specPlan). This is what distill()
- * uses to stamp the image.
+ * @p dist's merged image, into the speculation plan. This is what
+ * distillSpeculated() bakes from.
  */
 std::vector<SpecPlanCandidate>
 planSpeculation(const DistilledProgram &dist, const ValueFlowResult &vf);
 
 /**
- * Plan and validate: recompute the plan and check the image's
- * persisted specPlan entries against it. Missing, stale and
- * mismatching candidates are error findings.
+ * Plan @p dist from scratch: build its merged-image analysis,
+ * classify its loads, run the value-flow analysis and rank the
+ * facts.
  */
 SpecPlanReport analyzeSpecPlan(const Program &orig,
                                const DistilledProgram &dist);

@@ -148,45 +148,6 @@ analyzeSpecSafe(const Program &orig, const DistilledProgram &dist)
     SpecSafeReport rep;
     rep.loads = classifySpecLoads(
         MergedImageAnalysis(orig, origCfg, origAi, dist));
-
-    auto addFinding = [&rep](LintCheck check, uint32_t pc,
-                             std::string message) {
-        Finding f;
-        f.severity = Severity::Error;
-        f.check = check;
-        f.pc = pc;
-        f.message = std::move(message);
-        rep.lint.findings.push_back(std::move(f));
-    };
-
-    std::map<uint32_t, LoadSpecClass> recomputed;
-    for (const LoadClassification &c : rep.loads)
-        recomputed[c.pc] = c.cls;
-
-    for (const auto &[pc, cls] : dist.loadClasses) {
-        auto it = recomputed.find(pc);
-        if (it == recomputed.end()) {
-            addFinding(LintCheck::SpecSafeCoverage, pc,
-                       strfmt("image classifies 0x%x as %s, but no "
-                              "static load exists there (stale "
-                              "metadata)",
-                              pc, loadSpecClassName(cls)));
-        } else if (it->second != cls) {
-            addFinding(LintCheck::SpecSafeMismatch, pc,
-                       strfmt("image claims %s for the load at 0x%x, "
-                              "recomputation yields %s",
-                              loadSpecClassName(cls), pc,
-                              loadSpecClassName(it->second)));
-        }
-    }
-    for (const LoadClassification &c : rep.loads) {
-        if (!dist.loadClasses.count(c.pc)) {
-            addFinding(LintCheck::SpecSafeCoverage, c.pc,
-                       strfmt("static load at 0x%x carries no "
-                              "persisted classification",
-                              c.pc));
-        }
-    }
     return rep;
 }
 

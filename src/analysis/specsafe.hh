@@ -23,13 +23,11 @@
  *    interval), the address could not be pinned, or the load reads
  *    device space.
  *
- * The classification ships three ways: this library API (the future
- * value-speculating distiller's oracle), `mssp-lint --specsafe`
- * (human text + versioned `mssp-specsafe-v1` JSON), and per-load
- * `.mdo` metadata (DistilledProgram::loadClasses, format v3).
- * analyzeSpecSafe() additionally validates persisted metadata
- * against the recomputation: a missing, stale or mismatching class
- * is an error-severity lint finding.
+ * The classification ships two ways: this library API (the
+ * value-speculating distiller's oracle, through the value-flow
+ * analysis) and `mssp-lint --specsafe` (human text + versioned
+ * `mssp-specsafe-v1` JSON). It is computed on demand and never
+ * persisted.
  */
 
 #ifndef MSSP_ANALYSIS_SPECSAFE_HH
@@ -65,8 +63,9 @@ struct SpecSafeReport
     /** Every static load in the distilled image, ascending by PC. */
     std::vector<LoadClassification> loads;
 
-    /** Metadata-validation findings (specsafe-mismatch /
-     *  specsafe-coverage; empty when the image agrees). */
+    /** Always empty: nothing is persisted to validate any more. Kept
+     *  because the frozen benchmark reads lint.errors() and the JSON
+     *  embeds it; both go with the value-speculation deletion. */
     LintReport lint;
 
     size_t provablyInvariant() const;
@@ -82,17 +81,15 @@ struct SpecSafeReport
 };
 
 /**
- * Classify every static load of @p mia's distilled image (pure
- * recomputation; ignores dist.loadClasses). This is what distill()
- * uses to stamp the image.
+ * Classify every static load of @p mia's distilled image. The
+ * value-flow analysis (analysis/valueflow.hh) takes the result.
  */
 std::vector<LoadClassification>
 classifySpecLoads(const MergedImageAnalysis &mia);
 
 /**
- * Classify and validate: recompute the classification and check the
- * image's persisted loadClasses against it. Unclassified loads,
- * stale entries and class mismatches are error findings.
+ * Classify every static load of @p dist from scratch, building the
+ * merged-image analysis of @p orig and @p dist first.
  */
 SpecSafeReport analyzeSpecSafe(const Program &orig,
                                const DistilledProgram &dist);

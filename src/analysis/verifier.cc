@@ -49,10 +49,6 @@ lintCheckName(LintCheck check)
       case LintCheck::SemanticUnreachable:
         return "semantic-unreachable";
       case LintCheck::EditMetadata: return "edit-metadata";
-      case LintCheck::SpecSafeMismatch: return "specsafe-mismatch";
-      case LintCheck::SpecSafeCoverage: return "specsafe-coverage";
-      case LintCheck::SpecPlanMismatch: return "specplan-mismatch";
-      case LintCheck::SpecPlanCoverage: return "specplan-coverage";
       case LintCheck::SpecEditMismatch: return "specedit-mismatch";
       case LintCheck::SpecEditCoverage: return "specedit-coverage";
     }
@@ -498,12 +494,12 @@ Verify::checkEdits()
     }
 }
 
-// Speculated-edit records (.mdo v5): each must name a real original
-// load, its baked constant must still be in the image word(s) it
-// points at (a tampered value is exactly what this catches), it must
-// have ValueSpec provenance in the edit log, and its policing sites
-// must be restart points of the image. De-speculated loads must not
-// also be baked.
+// Speculated-edit records (.mdo `specedit` lines): each must name a
+// real original load, its baked constant must still be in the image
+// word(s) it points at (a tampered value is exactly what this
+// catches), it must have ValueSpec provenance in the edit log, and
+// its policing sites must be restart points of the image.
+// De-speculated loads must not also be baked.
 void
 Verify::checkSpecEdits()
 {

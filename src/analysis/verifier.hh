@@ -84,15 +84,7 @@ enum class LintCheck : uint8_t
     SemanticUnreachable,    ///< removed block is abstractly reachable
     EditMetadata,           ///< region/live-out/value metadata broken
 
-    // Speculation-safety metadata checks (analysis/specsafe.hh).
-    SpecSafeMismatch,       ///< persisted load class != recomputed
-    SpecSafeCoverage,       ///< load unclassified / stale class entry
-
-    // Speculation-plan metadata checks (analysis/specplan.hh).
-    SpecPlanMismatch,       ///< persisted candidate != recomputed
-    SpecPlanCoverage,       ///< candidate missing / stale plan entry
-
-    // Speculated-edit record checks (distill/speculate.cc, .mdo v5).
+    // Speculated-edit record checks (distill/speculate.cc).
     SpecEditMismatch,       ///< baked word / load / site disagrees
     SpecEditCoverage,       ///< specedit without edit-log provenance
 };

@@ -11,18 +11,18 @@ namespace
 
 const char *kProgramMagic = "mssp-object v1";
 /** Format v2 extended `edit` lines with semantic metadata (value,
- *  region leader, live-out mask); v3 adds per-load speculation-
- *  safety classes (`specload` lines, analysis/specsafe.hh); v4 adds
- *  the ranked speculation plan (`specplan` lines,
- *  analysis/specplan.hh); v5 adds speculated-edit records
- *  (`specedit` lines, distill/speculate.cc), the feedback generation
- *  counter (`specgen`) and de-speculated load PCs (`specdrop`,
- *  eval/adapt.hh). Version mismatches in either direction are
- *  rejected loudly: a misparsed edit log would silently disable the
- *  semantic checks, and an image without load classes, a plan, or
- *  its speculated-edit records would fail the coverage gates in
- *  confusing ways. */
-const char *kDistilledMagic = "mssp-distilled v5";
+ *  region leader, live-out mask); v3 and v4 added per-load
+ *  speculation-safety classes and the ranked speculation plan; v5
+ *  added speculated-edit records (`specedit` lines,
+ *  distill/speculate.cc), the feedback generation counter
+ *  (`specgen`) and de-speculated load PCs (`specdrop`,
+ *  eval/adapt.hh). v6 drops the v3/v4 class and plan lines again: no
+ *  consumer read them, and mssp-lint computes classes and plans on
+ *  demand. Version mismatches in either direction are rejected
+ *  loudly: a misparsed edit log would silently disable the semantic
+ *  checks, and an image without its speculated-edit records would
+ *  fail the specedit coverage check in confusing ways. */
+const char *kDistilledMagic = "mssp-distilled v6";
 const char *kDistilledFamily = "mssp-distilled";
 
 void
@@ -124,21 +124,6 @@ saveDistilled(const DistilledProgram &dist)
         out += strfmt("addr 0x%x 0x%x\n", orig, distilled);
     for (const auto &[orig, mask] : dist.checkpointRegs)
         out += strfmt("ckpt 0x%x 0x%x\n", orig, mask);
-    for (const auto &[pc, cls] : dist.loadClasses) {
-        out += strfmt("specload 0x%x %s\n", pc,
-                      loadSpecClassName(cls));
-    }
-    // Plan lines persist in rank order — the order is part of the
-    // contract mssp-lint --plan validates.
-    for (const SpecPlanEntry &p : dist.specPlan) {
-        out += strfmt("specplan 0x%x %s 0x%x %llu ", p.pc,
-                      valueProofName(p.proof), p.value,
-                      static_cast<unsigned long long>(
-                          p.benefitMicro));
-        for (size_t i = 0; i < p.feasible.size(); ++i)
-            out += strfmt("%s0x%x", i ? "," : "", p.feasible[i]);
-        out += "\n";
-    }
     // Speculated-edit records, in bake order (plan rank order).
     for (const SpecEdit &e : dist.specEdits) {
         out += strfmt("specedit 0x%x 0x%x %u 0x%x %s 0x%x %llu ",
@@ -214,34 +199,6 @@ loadDistilled(const std::string &text)
         if (key == "ckpt" && toks.size() == 3) {
             dist.checkpointRegs[want_int(toks[1], line_no)] =
                 want_int(toks[2], line_no);
-            return true;
-        }
-        if (key == "specload" && toks.size() == 3) {
-            LoadSpecClass cls;
-            if (!loadSpecClassFromName(std::string(toks[2]), cls)) {
-                fatal("object line %d: unknown load class '%s'",
-                      line_no, std::string(toks[2]).c_str());
-            }
-            dist.loadClasses[want_int(toks[1], line_no)] = cls;
-            return true;
-        }
-        if (key == "specplan" && toks.size() == 6) {
-            SpecPlanEntry p;
-            p.pc = want_int(toks[1], line_no);
-            if (!valueProofFromName(std::string(toks[2]), p.proof)) {
-                fatal("object line %d: unknown proof class '%s'",
-                      line_no, std::string(toks[2]).c_str());
-            }
-            p.value = want_int(toks[3], line_no);
-            int64_t micro;   // 64-bit: want_int truncates to uint32
-            if (!parseInt(toks[4], micro) || micro < 0) {
-                fatal("object line %d: bad benefit '%s'", line_no,
-                      std::string(toks[4]).c_str());
-            }
-            p.benefitMicro = static_cast<uint64_t>(micro);
-            for (std::string_view v : split(toks[5], ','))
-                p.feasible.push_back(want_int(v, line_no));
-            dist.specPlan.push_back(std::move(p));
             return true;
         }
         if (key == "specedit" && toks.size() == 9) {

@@ -4,9 +4,10 @@
  *
  * A simple line-oriented text format ("mssp-object v1") that stores a
  * Program (image + entry + symbols), and an extended form
- * ("mssp-distilled v1") that additionally stores a DistilledProgram's
- * task map, per-site fork intervals, entry map, address map and
- * report. Used by the CLI tools (tools/) so the assemble / distill /
+ * ("mssp-distilled v6"; version history in objfile.cc) that
+ * additionally stores a DistilledProgram's task map, per-site fork
+ * intervals, entry map, address map, checkpoint masks, edit log,
+ * speculated-edit records and report. Used by the CLI tools (tools/) so the assemble / distill /
  * run steps can be separate processes, like a real toolchain.
  *
  * The loaders (loadProgram/loadDistilled) are the trust boundary for

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/alias.hh"
 #include "asm/program.hh"
 #include "distill/ir.hh"
 #include "profile/fork_select.hh"
@@ -36,11 +35,6 @@
 
 namespace mssp
 {
-
-namespace analysis
-{
-struct SpecPlanCandidate;   // analysis/specplan.hh
-} // namespace analysis
 
 /** Distiller tuning knobs (E8/E9 ablate these). */
 struct DistillerOptions
@@ -168,10 +162,6 @@ enum class LoadSpecClass : uint8_t
 /** Stable lower-case class name ("provably-invariant", ...). */
 const char *loadSpecClassName(LoadSpecClass cls);
 
-/** Parse a class name; @retval false when unknown. */
-bool loadSpecClassFromName(const std::string &name,
-                           LoadSpecClass &cls);
-
 /**
  * Proof strength of a predicted load value in a speculation plan
  * (analysis/valueflow.hh, DESIGN.md §5.4). Proven candidates may
@@ -192,33 +182,13 @@ const char *valueProofName(ValueProof proof);
 bool valueProofFromName(const std::string &name, ValueProof &proof);
 
 /**
- * One persisted speculation-plan candidate: a load the planner ranked
- * worth speculating, with its predicted value and proof strength
- * (.mdo format v4 `specplan` lines; the full derivation lives in
- * analysis/specplan.hh and is revalidated by mssp-lint --plan).
- */
-struct SpecPlanEntry
-{
-    uint32_t pc = 0;         ///< distilled PC of the load
-    ValueProof proof = ValueProof::Proven;
-    uint32_t value = 0;      ///< predicted value
-    /** Expected benefit score in micro-units (integer so the .mdo
-     *  round-trips byte-exactly; analysis/specplan.hh). */
-    uint64_t benefitMicro = 0;
-    /** Feasible constant set, ascending (singleton for Proven). */
-    std::vector<uint32_t> feasible;
-
-    bool operator==(const SpecPlanEntry &) const = default;
-};
-
-/**
  * One *speculated* edit: a load the value-speculating pass
  * (distill/speculate.cc, DESIGN.md §13) rewrote into a baked
  * constant, with enough provenance to police it statically
  * (mssp-lint decodes the image word at @c distPc and checks it
  * materializes @c value) and dynamically (the adaptation loop maps
  * per-fork-site squash rates back onto edits through @c policedBy).
- * Persisted as `specedit` lines in the .mdo (format v5).
+ * Persisted as `specedit` lines in the .mdo.
  */
 struct SpecEdit
 {
@@ -334,30 +304,10 @@ struct DistilledProgram
     std::map<uint32_t, RegMask> checkpointRegs;
 
     /**
-     * Speculation-safety metadata: distilled PC of every static load
-     * in the image -> its invariance class, stamped by distill() from
-     * the store-set analysis (analysis/specsafe.hh) and persisted in
-     * the .mdo format (format v3). mssp-lint --specsafe recomputes
-     * the classification and rejects images whose persisted classes
-     * disagree (docs/LINT.md).
-     */
-    std::map<uint32_t, LoadSpecClass> loadClasses;
-
-    /**
-     * Speculation plan: the candidates the static planner ranked
-     * worth value-speculating, in rank order (highest benefit
-     * first), stamped by distill() from the value-flow analysis
-     * (analysis/specplan.hh) and persisted in the .mdo (format v4).
-     * mssp-lint --plan recomputes the plan and rejects images whose
-     * persisted candidates disagree (docs/LINT.md).
-     */
-    std::vector<SpecPlanEntry> specPlan;
-
-    /**
      * Speculated edits: the plan candidates distillSpeculated() baked
      * into the image, in bake order (plan rank order). Empty for
      * images the speculation pass never touched. Persisted as
-     * `specedit` lines (.mdo v5) and re-validated by mssp-lint.
+     * `specedit` lines and checked against the image by mssp-lint.
      */
     std::vector<SpecEdit> specEdits;
 
@@ -401,12 +351,13 @@ DistilledProgram distill(const Program &orig,
 
 /**
  * Distill @p orig, then *value-speculate* the result
- * (distill/speculate.cc, DESIGN.md §13): bake every Proven (and,
- * optionally, high-benefit Likely) candidate of the image's
- * speculation plan into a load-immediate, re-run constant folding and
- * DCE over the shortened code, re-place fork boundaries, and stamp
- * fresh metadata. The returned image carries one SpecEdit per baked
- * load. Deterministic: same inputs produce byte-identical images.
+ * (distill/speculate.cc, DESIGN.md §13): plan speculation on the
+ * un-speculated image (analysis/specplan.hh), bake every Proven (and,
+ * optionally, high-benefit Likely) candidate into a load-immediate,
+ * re-run constant folding and DCE over the shortened code, re-place
+ * fork boundaries, and stamp fresh checkpoint and edit metadata. The
+ * returned image carries one SpecEdit per baked load.
+ * Deterministic: same inputs produce byte-identical images.
  */
 DistilledProgram distillSpeculated(const Program &orig,
                                    const ProfileData &profile,
@@ -459,24 +410,10 @@ void runDistillPasses(DistillIr &ir, const ProfileData &profile,
                       const DistillerOptions &opts,
                       const Program &orig, DistillReport &report);
 
-/** The speculation plan finalizeDistilled() stamps, in the full form
- *  distillSpeculated() picks its bakes from. */
-struct StampedPlan
-{
-    /** Candidates in rank order (benefit descending, PC ascending). */
-    std::vector<analysis::SpecPlanCandidate> candidates;
-    /** Fork-region in-state per merged-image block leader. */
-    std::map<uint32_t, analysis::RegionMask> blockRegions;
-};
-
-/** The metadata tail of distill(): stamp checkpoint masks, per-edit
- *  region/live-out metadata, load classes and the speculation plan
- *  onto the laid-out @p out, from one merged-image analysis. @p cfg
- *  is the original program's CFG and @p origAi its abstract
- *  interpretation. */
-StampedPlan finalizeDistilled(DistilledProgram &out,
-                              const Program &orig, const Cfg &cfg,
-                              const analysis::AbsintResult &origAi);
+/** The metadata tail of distill(): stamp the checkpoint masks and
+ *  the per-edit region/live-out metadata onto the laid-out @p out
+ *  from the liveness of @p cfg, the original program's CFG. */
+void finalizeDistilled(DistilledProgram &out, const Cfg &cfg);
 
 } // namespace mssp
 

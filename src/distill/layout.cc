@@ -9,8 +9,6 @@
  */
 
 #include "analysis/liveness.hh"
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
 #include "distill/distiller.hh"
 #include "sim/logging.hh"
 
@@ -261,9 +259,8 @@ runDistillPasses(DistillIr &ir, const ProfileData &profile,
     }
 }
 
-StampedPlan
-finalizeDistilled(DistilledProgram &out, const Program &orig,
-                  const Cfg &cfg, const analysis::AbsintResult &origAi)
+void
+finalizeDistilled(DistilledProgram &out, const Cfg &cfg)
 {
     // Checkpoint map: the register live-in mask of every task, from
     // the *original* program's liveness (the task runs original
@@ -292,29 +289,6 @@ finalizeDistilled(DistilledProgram &out, const Program &orig,
         e.liveOut = live_it != live.end() ? live_it->second.liveOut
                                           : analysis::AllRegsMask;
     }
-
-    // Speculation-safety metadata: classify every static load of the
-    // finished image (analysis/specsafe.hh) so consumers — the value
-    // speculation planner, mssp-lint --specsafe, the crossval dynamic
-    // gate — agree on one persisted classification.
-    analysis::MergedImageAnalysis mia(orig, cfg, origAi, out);
-    std::vector<analysis::LoadClassification> classes =
-        analysis::classifySpecLoads(mia);
-    for (const analysis::LoadClassification &c : classes)
-        out.loadClasses[c.pc] = c.cls;
-
-    // Speculation plan: the ranked value-speculation candidates from
-    // the value-flow analysis of those classes (analysis/specplan.hh),
-    // persisted in rank order. mssp-lint --plan revalidates them and
-    // crossval falsifies the Proven predictions dynamically.
-    analysis::ValueFlowResult vf = analysis::analyzeValueFlow(mia, classes);
-    StampedPlan plan;
-    plan.candidates = analysis::planSpeculation(out, vf);
-    plan.blockRegions = std::move(vf.blockRegions);
-    out.specPlan.clear();
-    for (const analysis::SpecPlanCandidate &c : plan.candidates)
-        out.specPlan.push_back(c.toEntry());
-    return plan;
 }
 
 DistilledProgram
@@ -340,7 +314,7 @@ distill(const Program &orig, const ProfileData &profile,
     passMarkForkSites(ir, sites, intervals, report);
 
     DistilledProgram out = layout(ir, report);
-    finalizeDistilled(out, orig, cfg, analysis::analyzeProgram(orig, cfg));
+    finalizeDistilled(out, cfg);
     return out;
 }
 

@@ -426,23 +426,6 @@ loadSpecClassName(LoadSpecClass cls)
     return "?";
 }
 
-bool
-loadSpecClassFromName(const std::string &name, LoadSpecClass &cls)
-{
-    static constexpr LoadSpecClass kAll[] = {
-        LoadSpecClass::ProvablyInvariant,
-        LoadSpecClass::RegionInvariant,
-        LoadSpecClass::Risky,
-    };
-    for (LoadSpecClass c : kAll) {
-        if (name == loadSpecClassName(c)) {
-            cls = c;
-            return true;
-        }
-    }
-    return false;
-}
-
 const char *
 valueProofName(ValueProof proof)
 {

@@ -2,14 +2,14 @@
  * @file
  * The value-speculating distiller pass (DESIGN.md §13).
  *
- * distill() stamps every image with a ranked speculation plan
- * (analysis/specplan.hh) but leaves the candidate loads in place;
- * distillSpeculated() consumes that plan and *bakes* the predicted
- * values in: each selected candidate's load becomes a load-immediate
- * of the predicted constant, constant folding and DCE re-run over the
- * now-shorter code (the address-computation chains feeding the baked
- * loads usually die, which is where the master's retired-instruction
- * win comes from), and the image is laid out and finalized afresh.
+ * distillSpeculated() plans value speculation (analysis/specplan.hh)
+ * on the un-speculated base image that distill() would return, then
+ * *bakes* the predicted values in: each selected candidate's load
+ * becomes a load-immediate of the predicted constant, constant
+ * folding and DCE re-run over the now-shorter code (the
+ * address-computation chains feeding the baked loads usually die,
+ * which is where the master's retired-instruction win comes from),
+ * and the image is laid out and finalized afresh.
  *
  * Every baked load is recorded as a SpecEdit carrying the distilled
  * PC of the baked constant (so mssp-lint can decode the image word
@@ -26,6 +26,7 @@
 #include <algorithm>
 
 #include "analysis/specplan.hh"
+#include "analysis/specsafe.hh"
 #include "distill/distiller.hh"
 #include "sim/logging.hh"
 
@@ -79,10 +80,6 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     }
     passMarkForkSites(ir, sites, intervals, report);
 
-    // One original-program abstract interpretation serves both
-    // finalizations.
-    analysis::AbsintResult origAi = analysis::analyzeProgram(orig, cfg);
-
     std::vector<uint32_t> dropped = sopts.despeculated;
     std::sort(dropped.begin(), dropped.end());
     dropped.erase(std::unique(dropped.begin(), dropped.end()),
@@ -93,13 +90,19 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     // in-states decide which fork sites police each bake — a site
     // polices a bake when the regions the load executes in can flow
     // into the site's FORK, i.e. when the site's verify task is the
-    // one that squashes on a wrong prediction. The baseline is
-    // released before the speculated image is finalized.
+    // one that squashes on a wrong prediction. The baseline and its
+    // analyses are released before the speculated image is laid out.
     std::vector<SpecEdit> edits;
     {
         DistilledProgram base = layout(ir, report);
-        StampedPlan plan = finalizeDistilled(base, orig, cfg, origAi);
-        for (const analysis::SpecPlanCandidate &c : plan.candidates) {
+        finalizeDistilled(base, cfg);
+        analysis::AbsintResult origAi =
+            analysis::analyzeProgram(orig, cfg);
+        analysis::MergedImageAnalysis mia(orig, cfg, origAi, base);
+        analysis::ValueFlowResult vf = analysis::analyzeValueFlow(
+            mia, analysis::classifySpecLoads(mia));
+        for (const analysis::SpecPlanCandidate &c :
+             analysis::planSpeculation(base, vf)) {
             if (c.proof == ValueProof::Likely &&
                 (!sopts.bakeLikely ||
                  c.benefitMicro < sopts.minLikelyBenefitMicro)) {
@@ -133,8 +136,8 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
                 auto ep = base.entryMap.find(site);
                 if (ep == base.entryMap.end())
                     continue;
-                auto rit = plan.blockRegions.find(ep->second);
-                if (rit != plan.blockRegions.end() &&
+                auto rit = vf.blockRegions.find(ep->second);
+                if (rit != vf.blockRegions.end() &&
                     analysis::regionsIntersect(rit->second, c.regions)) {
                     e.policedBy.push_back(site);
                 }
@@ -159,7 +162,7 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     }
 
     DistilledProgram out = layout(ir, report);
-    finalizeDistilled(out, orig, cfg, origAi);
+    finalizeDistilled(out, cfg);
 
     // Locate each baked constant in the final image; an edit whose
     // load-immediate was itself folded away (its register became

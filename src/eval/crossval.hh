@@ -111,9 +111,9 @@ struct SpecEditDynamicResult
 /**
  * Replay the *original* program on the SEQ reference machine for at
  * most @p max_insts instructions and compare the value each baked
- * load (dist.specEdits, .mdo v5) actually reads against the constant
- * the speculated image carries. This is the runtime half of the
- * tamper gate: a Proven edit whose original load ever reads a
+ * load (dist.specEdits, the .mdo `specedit` lines) actually reads
+ * against the constant the speculated image carries. This is the
+ * runtime half of the tamper gate: a Proven edit whose original load ever reads a
  * different value — because the record was corrupted or the analysis
  * was wrong — is a hard failure; Likely edits accumulate a hit rate.
  */

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <mutex>
 #include <ostream>
 #include <utility>
 
@@ -12,7 +13,6 @@
 #include "eval/crossval.hh"
 #include "sim/logging.hh"
 #include "sim/supervisor.hh"
-#include "sim/thread_annotations.hh"
 #include "workloads/workloads.hh"
 
 namespace mssp
@@ -216,7 +216,7 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
     // Phase one: one job per workload runs the evaluation chain and
     // builds the campaign's oracle from the prepared pipeline.
     using Phase1 = std::pair<SuiteWorkloadResult, SeqOracle>;
-    Mutex log_m;
+    std::mutex log_m;
     std::vector<std::function<Phase1()>> work;
     work.reserve(names.size());
     for (const std::string &name : names) {
@@ -251,7 +251,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
             r.specProvablyInvariant = spec.provablyInvariant();
             r.specRegionInvariant = spec.regionInvariant();
             r.specRisky = spec.risky();
-            r.specErrors = spec.lint.errors();
             r.specViolations =
                 validateSpecSafeDynamic(prepared.orig, prepared.dist,
                                         spec.loads)
@@ -263,7 +262,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
             r.planCandidates = plan.candidates.size();
             r.planProven = plan.proven();
             r.planLikely = plan.likely();
-            r.planErrors = plan.lint.errors();
             SpecPlanDynamicResult pdyn = validateSpecPlanDynamic(
                 prepared.orig, prepared.dist, plan.candidates);
             r.planProvenMismatches = pdyn.provenMismatches;
@@ -295,10 +293,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
                     .errors() +
                 analysis::verifyDistilledSemantic(prepared.orig,
                                                   adapted.dist)
-                    .lint.errors() +
-                analysis::analyzeSpecSafe(prepared.orig, adapted.dist)
-                    .lint.errors() +
-                analysis::analyzeSpecPlan(prepared.orig, adapted.dist)
                     .lint.errors();
             r.specEditMismatches =
                 validateSpecEditsDynamic(prepared.orig, adapted.dist)
@@ -318,7 +312,7 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
 
             SeqOracle oracle = makeSeqOracle(std::move(prepared));
             if (log) {
-                MutexLock lock(log_m);
+                std::lock_guard<std::mutex> lock(log_m);
                 *log << strfmt("  [eval] %-10s %s\n", r.name.c_str(),
                                r.ok() ? "ok" : "FAIL");
                 log->flush();

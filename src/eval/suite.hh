@@ -8,7 +8,7 @@
  *   distill   assemble + profile + distill (core/pipeline.hh)
  *   lint      structural verification (analysis/verifier.hh)
  *   semantic  translation validation of every distiller edit
- *   specsafe  load speculation-safety classes + metadata validation
+ *   specsafe  load speculation-safety classes + SEQ-replay check
  *   specplan  value-flow plan candidates + SEQ-replay hit rates
  *   run       full MSSP machine vs the sequential baseline
  *   speculate value-speculating distiller + squash-feedback
@@ -89,14 +89,18 @@ struct SuiteWorkloadResult
     size_t specProvablyInvariant = 0;
     size_t specRegionInvariant = 0;
     size_t specRisky = 0;
-    size_t specErrors = 0;        ///< metadata-validation findings
+    /** Always 0: the .mdo (v6) persists no load classes to validate.
+     *  The key stays so the mssp-suite-v6 JSON keeps its shape until
+     *  value speculation is deleted (ROADMAP item 3). */
+    size_t specErrors = 0;
     uint64_t specViolations = 0;  ///< PI loads that changed value
 
     // specplan value prediction (analysis/specplan.hh)
     size_t planCandidates = 0;
     size_t planProven = 0;
     size_t planLikely = 0;
-    size_t planErrors = 0;  ///< plan-metadata findings (errors)
+    /** Always 0, as specErrors: the .mdo persists no plan. */
+    size_t planErrors = 0;
     uint64_t planProvenMismatches = 0;  ///< Proven misses (gate: 0)
     uint64_t planLikelyObservations = 0;
     uint64_t planLikelyHits = 0;
@@ -105,13 +109,15 @@ struct SuiteWorkloadResult
     WorkloadRun run;
 
     // speculation: adapted value-speculating distillation
-    // (distill/speculate.cc + eval/adapt.hh, .mdo v5)
+    // (distill/speculate.cc + eval/adapt.hh)
     size_t specBaked = 0;          ///< specedits in converged image
     size_t specBakedProven = 0;    ///< of those, Proven
     size_t specAdaptIterations = 0;
     bool specAdaptConverged = false;
     size_t specDespeculated = 0;   ///< cumulative excluded loads
-    size_t specImageLintErrors = 0; ///< all validators, spec image
+    /** Structural + semantic errors (specedit checks included) on
+     *  the speculated image. */
+    size_t specImageLintErrors = 0;
     uint64_t specEditMismatches = 0; ///< baked vs SEQ replay (gate: 0)
     WorkloadRun specRun;           ///< speculated image vs baseline
 

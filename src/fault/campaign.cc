@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <mutex>
 #include <numeric>
 
 #include "exec/seq_machine.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
-#include "sim/thread_annotations.hh"
 #include "workloads/workloads.hh"
 
 namespace mssp
@@ -367,7 +367,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
     for (size_t i = 0; i < missing.size(); ++i)
         oracles.emplace(missing[i], std::move(built[i]));
 
-    Mutex log_m;
+    std::mutex log_m;
     std::vector<std::function<CampaignRun()>> work;
     std::vector<std::string> labels;
     work.reserve(cells.size());
@@ -386,7 +386,7 @@ runFaultCampaign(const CampaignOptions &opts, std::ostream *log,
                 // Progress lines stream as cells finish (completion
                 // order under --jobs > 1); the JSON report is the
                 // deterministic artifact.
-                MutexLock lock(log_m);
+                std::lock_guard<std::mutex> lock(log_m);
                 *log << strfmt(
                     "  [%3llu] %-10s %-19s rate=%-9s inj=%-5llu "
                     "%s\n",

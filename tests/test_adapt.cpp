@@ -7,7 +7,7 @@
  * function of its inputs, and — in the fault-injection configuration
  * that makes verification tasks squash — de-speculates at least one
  * baked load while the final image stays SEQ-equivalent. The
- * generation counter it stamps must survive .mdo v5 persistence.
+ * generation counter it stamps must survive .mdo persistence.
  */
 
 #include <gtest/gtest.h>

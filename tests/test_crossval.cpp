@@ -46,10 +46,11 @@ TEST(CrossVal, StaticRiskConsistentWithDynamicSquashes)
         EXPECT_TRUE(r.run.ok) << r.name << " did not run to completion";
         EXPECT_EQ(r.semanticErrors, 0u) << r.name;
         EXPECT_EQ(r.proven + r.risky + r.unknown, r.edits) << r.name;
-        // Every static load carries a class, the persisted metadata
-        // re-validates, and no ProvablyInvariant load ever changed
-        // value during the SEQ replay — a nonzero count falsifies
-        // the alias analysis and is a test failure, not a warning.
+        // Every static load carries a class, specErrors stays 0 (the
+        // .mdo persists no classes), and no ProvablyInvariant load
+        // ever changed value during the SEQ replay — a nonzero count
+        // falsifies the alias analysis and is a test failure, not a
+        // warning.
         EXPECT_GT(r.specLoads, 0u) << r.name;
         EXPECT_EQ(r.specProvablyInvariant + r.specRegionInvariant +
                       r.specRisky,
@@ -59,9 +60,10 @@ TEST(CrossVal, StaticRiskConsistentWithDynamicSquashes)
         EXPECT_EQ(r.specViolations, 0u)
             << r.name
             << ": a provably-invariant load changed value at runtime";
-        // The speculation plan re-validates and no Proven candidate
-        // ever read a value other than its prediction during the SEQ
-        // replay — one mismatch falsifies the value-flow analysis.
+        // planErrors stays 0 (the .mdo persists no plan) and no
+        // Proven candidate ever read a value other than its
+        // prediction during the SEQ replay — one mismatch falsifies
+        // the value-flow analysis.
         EXPECT_EQ(r.planErrors, 0u) << r.name;
         EXPECT_EQ(r.planProvenMismatches, 0u)
             << r.name

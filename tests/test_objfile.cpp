@@ -92,12 +92,12 @@ TEST(ObjFile, StaleFormatVersionIsRejectedWithMessage)
 {
     // Files from older builds must be rejected with a message that
     // names both versions, not silently misparsed (v2 carries no
-    // specload lines, v3 no specplan lines, v4 no specedit lines;
-    // accepting any would fail the coverage gates in confusing ways
-    // instead).
+    // specedit lines and v3-v5 carry the retired specload/specplan
+    // lines; accepting any would fail the specedit checks or the
+    // parser in confusing ways instead).
     for (const char *header :
          {"mssp-distilled v2", "mssp-distilled v3",
-          "mssp-distilled v4"}) {
+          "mssp-distilled v4", "mssp-distilled v5"}) {
         std::string stale =
             std::string(header) + "\nentry 0x400000\n";
         try {
@@ -110,49 +110,50 @@ TEST(ObjFile, StaleFormatVersionIsRejectedWithMessage)
                       std::string::npos)
                 << e.what();
             EXPECT_NE(
-                std::string(e.what()).find("mssp-distilled v5"),
+                std::string(e.what()).find("mssp-distilled v6"),
                 std::string::npos)
                 << e.what();
         }
     }
 }
 
-TEST(ObjFile, LoadClassesSurviveRoundTrip)
+TEST(ObjFile, RetiredSpecLoadAndSpecPlanLinesAreFatal)
 {
-    setQuiet(true);
-    PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
-                                 test::biasedSumSource(100, 4),
-                                 DistillerOptions::paperPreset());
-    DistilledProgram d2 = loadDistilled(saveDistilled(w.dist));
-    EXPECT_EQ(d2.loadClasses, w.dist.loadClasses);
-}
-
-TEST(ObjFile, SpecPlanSurvivesRoundTripInRankOrder)
-{
-    setQuiet(true);
-    PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
-                                 test::biasedSumSource(100, 4),
-                                 DistillerOptions::paperPreset());
-    DistilledProgram d2 = loadDistilled(saveDistilled(w.dist));
-    // operator== covers pc, proof, value, benefitMicro and the
-    // feasible set; the vector comparison covers rank order.
-    EXPECT_EQ(d2.specPlan, w.dist.specPlan);
-}
-
-TEST(ObjFile, UnknownProofClassAndBadBenefitAreFatal)
-{
+    // v6 dropped the persisted load classes and plan; a v6 file that
+    // still carries either line is malformed, not silently accepted.
     setQuiet(true);
     PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
                                  test::biasedSumSource(100, 4),
                                  DistillerOptions::paperPreset());
     std::string text = saveDistilled(w.dist);
+    EXPECT_EQ(text.find("specload"), std::string::npos);
+    EXPECT_EQ(text.find("specplan"), std::string::npos);
+    EXPECT_THROW(loadDistilled(text + "specload 0x400000 risky\n"),
+                 FatalError);
     EXPECT_THROW(
         loadDistilled(text +
-                      "specplan 0x400000 surely 0x5 1 0x5\n"),
+                      "specplan 0x400000 proven 0x5 1 0x5\n"),
+        FatalError);
+}
+
+TEST(ObjFile, UnknownProofClassAndBadBenefitAreFatal)
+{
+    // specedit lines share the proof-name parse and the 64-bit
+    // benefit parse; both rejection paths must stay fatal.
+    setQuiet(true);
+    PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
+                                 test::biasedSumSource(100, 4),
+                                 DistillerOptions::paperPreset());
+    std::string text = saveDistilled(w.dist);
+    EXPECT_NO_THROW(loadDistilled(
+        text + "specedit 0x10 0x400000 5 0x2000 proven 0x5 1 -\n"));
+    EXPECT_THROW(
+        loadDistilled(text + "specedit 0x10 0x400000 5 0x2000 "
+                             "surely 0x5 1 -\n"),
         FatalError);
     EXPECT_THROW(
-        loadDistilled(text +
-                      "specplan 0x400000 proven 0x5 -3 0x5\n"),
+        loadDistilled(text + "specedit 0x10 0x400000 5 0x2000 "
+                             "proven 0x5 -3 -\n"),
         FatalError);
 }
 
@@ -164,26 +165,17 @@ TEST(ObjFile, LargeBenefitSurvivesRoundTrip)
                                  test::biasedSumSource(100, 4),
                                  DistillerOptions::paperPreset());
     DistilledProgram big = w.dist;
-    SpecPlanEntry e;
-    e.pc = 0x400000;
+    SpecEdit e;
+    e.origPc = 0x10;
+    e.distPc = 0x400000;
+    e.reg = 5;
+    e.addr = 0x2000;
     e.value = 5;
     e.benefitMicro = 0x123456789abcull;
-    e.feasible = {5};
-    big.specPlan.insert(big.specPlan.begin(), e);
+    big.specEdits.push_back(e);
     DistilledProgram d2 = loadDistilled(saveDistilled(big));
-    ASSERT_FALSE(d2.specPlan.empty());
-    EXPECT_EQ(d2.specPlan[0].benefitMicro, 0x123456789abcull);
-}
-
-TEST(ObjFile, UnknownLoadClassIsFatal)
-{
-    setQuiet(true);
-    PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
-                                 test::biasedSumSource(100, 4),
-                                 DistillerOptions::paperPreset());
-    std::string text = saveDistilled(w.dist);
-    text += "specload 0x400000 definitely-fine\n";
-    EXPECT_THROW(loadDistilled(text), FatalError);
+    ASSERT_EQ(d2.specEdits.size(), 1u);
+    EXPECT_EQ(d2.specEdits[0].benefitMicro, 0x123456789abcull);
 }
 
 TEST(ObjFile, BadMagicIsFatal)

@@ -168,7 +168,7 @@ TEST(ObjFileFuzz, HostileForkIndexIsBounded)
 {
     // A handcrafted hostile header: without the cap this resize would
     // try to allocate tens of gigabytes of task map.
-    std::string evil = "mssp-distilled v5\n"
+    std::string evil = "mssp-distilled v6\n"
                        "entry 0x1000\n"
                        "fork 4294967295 0x1000 1\n";
     try {
@@ -182,7 +182,7 @@ TEST(ObjFileFuzz, HostileForkIndexIsBounded)
 
     // At the cap itself the loader accepts (bounded, ~8 MiB worst
     // case) — the cap is a ceiling, not a tripwire.
-    std::string edge = strfmt("mssp-distilled v5\n"
+    std::string edge = strfmt("mssp-distilled v6\n"
                               "entry 0x1000\n"
                               "fork %zu 0x1000 1\n",
                               kMaxForkIndex);

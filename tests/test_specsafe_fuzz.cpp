@@ -1,9 +1,9 @@
 /**
  * @file
  * Fuzz gate for the speculation-safety classifier: every random
- * program family seed is distilled at the paper preset, the
- * persisted load classes must re-validate with zero errors, and
- * every ProvablyInvariant verdict is checked differentially against
+ * program family seed is distilled at the paper preset, its loads
+ * are classified with zero error findings, and every
+ * ProvablyInvariant verdict is checked differentially against
  * a bounded SEQ replay of the merged image — a provably-invariant
  * load that a real execution sees changing value is a soundness bug
  * in the alias analysis, never acceptable.
@@ -55,7 +55,7 @@ TEST(SpecSafeFuzz, InvariantVerdictsSurviveLockstepExecution)
         PreparedWorkload w =
             prepare(prog, prog, DistillerOptions::paperPreset());
 
-        // The classes distill() stamped must re-validate cleanly.
+        // Classify the image on demand; no error finding.
         analysis::SpecSafeReport rep =
             analysis::analyzeSpecSafe(w.orig, w.dist);
         EXPECT_EQ(rep.lint.errors(), 0u) << rep.lint.toText();

@@ -1,7 +1,7 @@
 /**
  * @file
  * The value-speculating distiller (distill/speculate.cc) and its
- * .mdo v5 persistence.
+ * .mdo persistence (the specedit, specdrop and specgen lines).
  *
  * The contract under test, per DESIGN.md §13: baking a Proven
  * speculation-plan candidate into the master's image must never
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -115,10 +116,9 @@ TEST(Speculate, V5RoundTripPreservesEverySpecField)
 
 TEST(Speculate, SpeculatedImagePassesEveryStaticValidator)
 {
-    // The speculated image's persisted load classes and plan must be
-    // its own, recomputed from scratch — not the un-speculated base
-    // image's, whose analysis distillSpeculated() reuses to pick the
-    // bakes.
+    // The speculated image's checkpoint masks and edit metadata must
+    // be its own, stamped afresh — not the un-speculated base
+    // image's, which distillSpeculated() plans on to pick the bakes.
     for (const Workload &wl : specAnalogues(0.05)) {
         SCOPED_TRACE(wl.name);
         Speculated s = speculateWorkload(wl.name);
@@ -128,13 +128,42 @@ TEST(Speculate, SpeculatedImagePassesEveryStaticValidator)
         analysis::SemanticResult sem =
             analysis::verifyDistilledSemantic(s.w.orig, s.spec);
         EXPECT_EQ(sem.lint.errors(), 0u) << sem.lint.toText();
-        analysis::SpecSafeReport safe =
-            analysis::analyzeSpecSafe(s.w.orig, s.spec);
-        EXPECT_EQ(safe.lint.errors(), 0u) << safe.lint.toText();
-        analysis::SpecPlanReport plan =
-            analysis::analyzeSpecPlan(s.w.orig, s.spec);
-        EXPECT_EQ(plan.lint.errors(), 0u) << plan.lint.toText();
     }
+}
+
+TEST(Speculate, BakesComeFromTheLintedPlan)
+{
+    // distillSpeculated() plans the image distill() returns, before
+    // any bake. So every bake must be a candidate that mssp-lint
+    // --plan reports for that image, at a distilled PC whose original
+    // PC is the baked load's, with the same address, value, proof
+    // and benefit.
+    size_t baked = 0;
+    for (const Workload &wl : specAnalogues(0.05)) {
+        SCOPED_TRACE(wl.name);
+        Speculated s = speculateWorkload(wl.name);
+        analysis::SpecPlanReport plan =
+            analysis::analyzeSpecPlan(s.w.orig, s.w.dist);
+        for (const SpecEdit &e : s.spec.specEdits) {
+            bool planned = std::any_of(
+                plan.candidates.begin(), plan.candidates.end(),
+                [&](const analysis::SpecPlanCandidate &c) {
+                    auto it = s.w.dist.pcOrigin.find(c.pc);
+                    return it != s.w.dist.pcOrigin.end() &&
+                           it->second == e.origPc &&
+                           c.addr == e.addr && c.value == e.value &&
+                           c.proof == e.proof &&
+                           c.benefitMicro == e.benefitMicro;
+                });
+            EXPECT_TRUE(planned) << strfmt(
+                "bake of the load at 0x%x (value 0x%x, benefit "
+                "%llu) matches no linted plan candidate",
+                e.origPc, e.value,
+                static_cast<unsigned long long>(e.benefitMicro));
+            ++baked;
+        }
+    }
+    EXPECT_GT(baked, 0u);
 }
 
 TEST(Speculate, TamperedSpecEditValueIsCaughtStaticallyAndAtRuntime)

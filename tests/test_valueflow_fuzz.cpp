@@ -2,8 +2,8 @@
  * @file
  * Fuzz gate for the value-flow analysis and speculation planner:
  * every random program family seed is distilled at the paper preset,
- * the persisted plan must re-validate with zero errors, and every
- * Proven candidate's predicted value is checked differentially
+ * its plan is computed with zero error findings, and every Proven
+ * candidate's predicted value is checked differentially
  * against a bounded SEQ replay of the merged image — a Proven
  * prediction that a real execution contradicts is a soundness bug in
  * the value-flow analysis, never acceptable. Likely candidates only
@@ -56,7 +56,7 @@ TEST(ValueFlowFuzz, ProvenPredictionsSurviveLockstepExecution)
         PreparedWorkload w =
             prepare(prog, prog, DistillerOptions::paperPreset());
 
-        // The plan distill() stamped must re-validate cleanly.
+        // Plan the image on demand; no error finding.
         analysis::SpecPlanReport rep =
             analysis::analyzeSpecPlan(w.orig, w.dist);
         EXPECT_EQ(rep.lint.errors(), 0u) << rep.lint.toText();

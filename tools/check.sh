@@ -148,9 +148,9 @@ if [[ "${MSSP_SKIP_SPECSAFE:-0}" == "1" ]]; then
     echo "== skipping specsafe gate (MSSP_SKIP_SPECSAFE=1)"
 else
     # Speculation-safety sweep over every registry workload: every
-    # static load classified, persisted metadata re-validates, and
-    # the aggregated JSON from a sharded run is byte-identical to the
-    # serial one (the determinism contract, DESIGN.md §10).
+    # static load classified, no error finding, and the aggregated
+    # JSON from a sharded run is byte-identical to the serial one
+    # (the determinism contract, DESIGN.md §10).
     echo "== specsafe gate (all workloads, sharded vs serial)"
     spec_rc=0
     build/tools/mssp-lint --specsafe --workloads all --scale 0.05 \
@@ -173,9 +173,9 @@ fi
 if [[ "${MSSP_SKIP_SPECPLAN:-0}" == "1" ]]; then
     echo "== skipping specplan gate (MSSP_SKIP_SPECPLAN=1)"
 else
-    # Speculation-plan sweep over every registry workload: the
-    # persisted plans re-validate, and the aggregated JSON from a
-    # sharded run is byte-identical to the serial one.
+    # Speculation-plan sweep over every registry workload: every
+    # workload plans without an error finding, and the aggregated
+    # JSON from a sharded run is byte-identical to the serial one.
     echo "== specplan gate (all workloads, sharded vs serial)"
     plan_rc=0
     build/tools/mssp-lint --plan --workloads all --scale 0.05 \

@@ -15,10 +15,14 @@
 #     code, for every workload the parent's suite JSON lists (the
 #     suite keeps only finding counts; exit 0/1/2 are lint results,
 #     anything else is a failed run)
+#   mssp-lint --specsafe --workloads all --report=json and
+#   mssp-lint --plan --workloads all --report=json, stdout and exit
+#     code (every load class and plan candidate, not just the suite's
+#     counts)
 #
 # Within each build, the --jobs 4 outputs must also equal the --jobs 1
 # outputs (the sharding contract, DESIGN.md §10). SCALE defaults to
-# 1.0 (about 40 s of host time per build on 4 cores).
+# 1.0 (about 36 s of wall time for both builds on 4 cores).
 #
 # Exit codes: 0 every output matches, 1 some output differs or a run
 # failed, 2 usage error.
@@ -78,22 +82,29 @@ if [[ -z $workloads ]]; then
     echo "identity.sh: no workload list in the parent suite JSON" >&2
     status=1
 fi
+# lint SIDE FILE ARGS...: one mssp-lint report, its exit code
+# appended; exit 0/1/2 are lint results, anything else a failed run.
+lint() {
+    local side=$1 f=$2
+    shift 2
+    "$build/tools/mssp-lint" "$@" --scale "$scale" --report=json \
+        >"$f" 2>"$out/$side.err"
+    local rc=$?
+    echo "exit $rc" >>"$f"
+    if ((rc > 2)); then
+        echo "identity.sh: $side: mssp-lint ${*} failed (exit $rc):" >&2
+        tail -5 "$out/$side.err" >&2
+        status=1
+    fi
+}
 for side in parent change; do
     build=$parent
     [[ $side == change ]] && build=$change
     for w in $workloads; do
-        f=$out/$side.lint.$w.json
-        "$build/tools/mssp-lint" --workload "$w" --scale "$scale" \
-            --semantic --report=json >"$f" 2>"$out/$side.err"
-        rc=$?
-        echo "exit $rc" >>"$f"
-        if ((rc > 2)); then
-            echo "identity.sh: $side: mssp-lint --workload $w" \
-                "failed (exit $rc):" >&2
-            tail -5 "$out/$side.err" >&2
-            status=1
-        fi
+        lint "$side" "$out/$side.lint.$w.json" --workload "$w" --semantic
     done
+    lint "$side" "$out/$side.specsafe.json" --specsafe --workloads all
+    lint "$side" "$out/$side.plan.json" --plan --workloads all
 done
 
 same() {
@@ -112,6 +123,10 @@ done
 for w in $workloads; do
     same "$out/parent.lint.$w.json" "$out/change.lint.$w.json" \
         "lint $w: parent vs change"
+done
+for f in specsafe plan; do
+    same "$out/parent.$f.json" "$out/change.$f.json" \
+        "lint --$f --workloads all: parent vs change"
 done
 for side in parent change; do
     for f in suite faultcamp epochs; do

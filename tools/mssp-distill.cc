@@ -14,21 +14,20 @@
  *
  * --speculate runs the value-speculating distiller (distill/
  * speculate.cc): every Proven speculation-plan candidate is baked
- * into the master's image as a load-immediate, recorded as a
- * specedit, and the object is written as .mdo v5. --adapt N
+ * into the master's image as a load-immediate and recorded as a
+ * specedit line in the written .mdo. --adapt N
  * additionally closes the squash-feedback loop (eval/adapt.hh) for
  * up to N iterations, de-speculating loads policed by
  * high-squash-rate fork sites; a loop that fails to converge within
  * the bound writes nothing and exits 1.
  *
  * --verify runs the mssp-lint static checks — the structural
- * contract, the semantic translation validation of the edit log, the
- * speculation-safety classification of every load, and the persisted
- * speculation plan — on the freshly distilled image; on errors
- * nothing is written and the exit status is 1. On a speculated image
- * this includes the specedit record checks and a SEQ replay of the
- * original program comparing each baked constant against the values
- * the load actually reads (eval/crossval.hh).
+ * contract and the semantic translation validation of the edit log —
+ * on the freshly distilled image; on errors nothing is written and
+ * the exit status is 1. On a speculated image this includes the
+ * specedit record checks and a SEQ replay of the original program
+ * comparing each baked constant against the values the load actually
+ * reads (eval/crossval.hh).
  *
  * Exit status (docs/LINT.md exit-code table): 0 = written,
  * 1 = failure, 2 = usage (including a bad numeric flag value).
@@ -38,8 +37,6 @@
 #include <cstring>
 #include <string>
 
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
 #include "analysis/verifier.hh"
 #include "asm/assembler.hh"
 #include "asm/objfile.hh"
@@ -190,16 +187,6 @@ main(int argc, char **argv)
             rep.findings.insert(rep.findings.end(),
                                 sem.lint.findings.begin(),
                                 sem.lint.findings.end());
-            analysis::SpecSafeReport spec =
-                analysis::analyzeSpecSafe(ref, w.dist);
-            rep.findings.insert(rep.findings.end(),
-                                spec.lint.findings.begin(),
-                                spec.lint.findings.end());
-            analysis::SpecPlanReport plan =
-                analysis::analyzeSpecPlan(ref, w.dist);
-            rep.findings.insert(rep.findings.end(),
-                                plan.lint.findings.begin(),
-                                plan.lint.findings.end());
             if (!rep.clean())
                 std::fputs(rep.toText().c_str(), stderr);
             if (rep.errors()) {

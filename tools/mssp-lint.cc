@@ -22,15 +22,15 @@
  *
  * --specsafe runs the speculation-safety classifier
  * (analysis/specsafe.hh) instead: every static load in the distilled
- * image is classified provably-invariant / region-invariant / risky,
- * and the image's persisted `specload` metadata is validated against
- * the recomputation.
+ * image is classified provably-invariant / region-invariant / risky.
  *
  * --plan runs the value-flow analysis and speculation planner
  * (analysis/specplan.hh): every predictable load becomes a ranked
- * plan candidate (proven/likely, predicted value, benefit score),
- * and the image's persisted `specplan` metadata is validated against
- * the recomputation.
+ * plan candidate (proven/likely, predicted value, benefit score).
+ *
+ * Both compute their result on demand; the .mdo carries neither.
+ * Their embedded lint object and error counts stay in the output
+ * formats but are always empty.
  *
  * --workloads sweeps many registry workloads in one invocation
  * (specsafe or plan mode), sharded over --jobs host threads; the
